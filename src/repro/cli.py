@@ -656,10 +656,9 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
             f"at t={restart.time:g}",
             file=out,
         )
-    stale = sum(t.stale_wakes for t in simulation.tempds.values())
-    conservative = sum(
-        t.conservative_wakes for t in simulation.tempds.values()
-    )
+    controller = simulation.controller
+    stale = int(sum(getattr(controller, "stale_wakes", ())))
+    conservative = int(sum(getattr(controller, "conservative_wakes", ())))
     if stale or conservative:
         print(
             f"tempd resilience: {stale} stale wake(s), "

@@ -5,7 +5,12 @@ module builds that extension on the existing pieces: a **web tier**
 (static-heavy front ends) calls into an **application tier** (CPU-heavy
 back ends); each tier sits behind its own weighted least-connections
 balancer with its own tempd/admd pair, so a thermal emergency anywhere
-in the pipeline is handled by the tier that feels it.
+in the pipeline is handled by the tier that feels it.  Each tier runs
+the registry's ``freon`` policy through a
+:class:`~repro.control.ClusterStateView` of its own machines, with
+tempd -> admd messages handled in place (no network model).  The tiers
+have no power control, so a red-line report is recorded but switches
+nothing off.
 
 The tiers are coupled the way real request pipelines are: every web
 request served spawns an application-tier request with probability
@@ -21,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import table1
 from ..config.layouts import validation_cluster
+from ..control import ClusterStateView, FreonPolicy
+from ..control import build as _build_controller
 from ..core.solver import Solver
-from ..daemons.admd import Admd
-from ..daemons.tempd import Tempd
 from ..errors import ClusterError
 from ..fiddle.script import ScriptRunner, parse_script
 from ..freon.policy import FreonConfig
@@ -82,7 +87,16 @@ class MultiTierResult:
 
 
 class _Tier:
-    """One tier: servers, balancer, Mercury machines, Freon daemons."""
+    """One tier: servers, balancer, Mercury machines, Freon policy.
+
+    Carries the attributes a :class:`ClusterStateView` reads, so the
+    tier's policy sees exactly its own machines.
+    """
+
+    #: No topology: Freon-EC regions would be the alternating split.
+    topology = None
+    #: No fault injection in the multi-tier model.
+    injector = None
 
     def __init__(
         self,
@@ -102,26 +116,19 @@ class _Tier:
         self.webservers = {
             name: WebServer(name, mix=mix) for name in self.machines
         }
-        self.admd: Optional[Admd] = None
-        self.tempds: Dict[str, Tempd] = {}
+        self.controller: Optional[FreonPolicy] = None
+        self.view = ClusterStateView(self)
         if managed:
-            self.admd = Admd(self.balancer, config=config)
-            for name in self.machines:
-                self.tempds[name] = Tempd(
-                    machine=name,
-                    temperature_reader=self._reader(name),
-                    send=self.admd.deliver,
-                    config=config,
-                )
+            self.controller = _build_controller(
+                "freon", "cluster", config=config
+            )
+            self.controller.attach(self.view)
 
-    def _reader(self, name: str):
-        def reader() -> Dict[str, float]:
-            return {
-                "cpu": self.service.read_temperature(name, "cpu"),
-                "disk": self.service.read_temperature(name, "disk"),
-            }
+    def request_on(self, name: str) -> None:
+        """The tiers have no power control."""
 
-        return reader
+    def request_off(self, name: str) -> None:
+        """The tiers have no power control."""
 
     def step(self, offered: float, dt: float, now: float) -> TierRecord:
         capacities = {
@@ -152,12 +159,17 @@ class _Tier:
                 name, "cpu"
             )
 
-    def tick_daemons(self, dt: float, now: float) -> None:
-        if self.admd is None:
+    def tick_daemons(self, tick: int, dt: float, now: float) -> None:
+        """After solver tick ``tick``: LVS statistics every stats period,
+        a wake every monitor period, on the solver's tick grid."""
+        controller = self.controller
+        if controller is None:
             return
-        self.admd.tick(dt, now)
-        for tempd in self.tempds.values():
-            tempd.tick(dt, now)
+        config = controller.config
+        if tick % max(1, round(config.stats_period / dt)) == 0:
+            controller.sample(self.view, now)
+        if tick % max(1, round(config.monitor_period / dt)) == 0:
+            controller.wake(self.view, now)
 
 
 class MultiTierSimulation:
@@ -237,8 +249,9 @@ class MultiTierSimulation:
         self.time = self.solver.time
         self.web.observe(web_record)
         self.app.observe(app_record)
-        self.web.tick_daemons(self.dt, self.time)
-        self.app.tick_daemons(self.dt, self.time)
+        iteration = self.solver.iterations
+        self.web.tick_daemons(iteration, self.dt, self.time)
+        self.app.tick_daemons(iteration, self.dt, self.time)
         tick = MultiTierTick(time=now, web=web_record, app=app_record)
         self.records.append(tick)
         return tick
@@ -257,7 +270,7 @@ class MultiTierSimulation:
         adjustments = {}
         for tier in (self.web, self.app):
             adjustments[tier.label] = (
-                list(tier.admd.adjustments) if tier.admd else []
+                list(tier.controller.adjustments) if tier.controller else []
             )
         return MultiTierResult(
             records=list(self.records),

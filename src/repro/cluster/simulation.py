@@ -9,34 +9,40 @@ Wires together every piece of the reproduction:
   deployment of section 5: "Mercury was deployed on the server nodes and
   its solver ran on yet another machine";
 * fiddle events raising machine inlet temperatures mid-run;
-* a pluggable management policy: base Freon, Freon-EC, the traditional
-  red-line shutdown, or none.
+* a pluggable management policy from the :mod:`repro.control` registry
+  (base Freon, Freon-EC, the traditional red-line shutdown), per-CPU
+  DVFS governors, or none.  Registry policies act through
+  :meth:`ClusterSimulation.state_view`, the same code that manages the
+  flattened datacenter stack.
 
 The simulation runs on the :mod:`repro.kernel` discrete-event scheduler:
-solver ticks, tempd/admd/monitord wake-ups (at their paper periods, 60 s
-and 5 s), traditional-policy checks, DVFS governor decisions, watchdog
+solver ticks, the policy's LVS statistics samples (5 s), monitor-period
+wakes and Freon-EC evaluations (60 s), DVFS governor decisions, watchdog
 passes, datagram deliveries, fault firings, fiddle-script statements,
 and telemetry sampling are all events on one priority queue sharing one
 :class:`~repro.kernel.clock.SimClock`.  In the default legacy-compat
 mode the event priorities reproduce the original monolithic tick loop's
 ordering exactly (the golden traces under ``tests/golden`` are
-byte-identical); ``mode="event"`` additionally gives tempd -> admd
-datagrams a real sub-tick network latency.  Every tick is recorded, so
-experiments can regenerate the paper's Figure 11/12 series.
+byte-identical) and tempd -> admd datagrams are flushed once per tick;
+``mode="event"`` instead delivers each datagram as its own event after
+a real sub-tick network latency (plus any injected delay).  Every tick
+is recorded, so experiments can regenerate the paper's Figure 11/12
+series.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..config import table1
 from ..config.layouts import validation_cluster
+from ..control import build as _build_controller
 from ..control import names as _policy_names
 from ..core.solver import Solver
-from ..daemons.admd import Admd
-from ..daemons.tempd import Tempd, TempdMessage
+from ..daemons.tempd import TempdMessage
 from ..errors import ClusterError
 from ..faults.injector import (
     DaemonWatchdog,
@@ -45,10 +51,7 @@ from ..faults.injector import (
     RestartEvent,
 )
 from ..fiddle.script import ScriptRunner, parse_script
-from ..freon.ec import AdmdEC
 from ..freon.policy import FreonConfig
-from ..freon.regions import RegionMap, two_region_split
-from ..freon.traditional import TraditionalPolicy
 from ..kernel import Event, EventKernel
 from ..sensors.server import SensorService
 from ..telemetry import ensure as _ensure_telemetry
@@ -83,9 +86,9 @@ MODES = ("legacy", "event")
 
 #: Event-dispatch priority bands (lower fires first at equal timestamps;
 #: the seq counter breaks remaining ties in scheduling order).  At a
-#: shared timestamp T the legacy tick loop ran: the daemon work of the
-#: tick that *ended* at T (admd LVS sample, tempd wakes, datagram flush,
-#: EC evaluation, traditional check, governors, watchdog, that tick's
+#: shared timestamp T the legacy tick loop ran: the management work of
+#: the tick that *ended* at T (LVS statistics sample, the policy's wake,
+#: datagram flush, EC evaluation, governors, watchdog, that tick's
 #: record), then the work of the tick that *starts* at T (fault clock,
 #: script statements, load balancing + solver step).  The bands encode
 #: exactly that order, which is how the kernel reproduces the legacy
@@ -94,7 +97,6 @@ PRIORITY_STATS = 10
 PRIORITY_WAKE = 20
 PRIORITY_DELIVER = 30
 PRIORITY_EVALUATE = 40
-PRIORITY_POLICY = 50
 PRIORITY_GOVERNOR = 60
 PRIORITY_WATCHDOG = 70
 PRIORITY_RECORD = 80
@@ -263,7 +265,6 @@ class ClusterSimulation:
         fiddle_script: Optional[str] = None,
         freon_config: Optional[FreonConfig] = None,
         k_overrides: Optional[Mapping[Tuple[str, str], float]] = None,
-        regions: Optional[RegionMap] = None,
         boot_time: float = 60.0,
         dt: float = 1.0,
         injector: Optional[FaultInjector] = None,
@@ -385,7 +386,7 @@ class ClusterSimulation:
                 injector=self.injector, telemetry=self.telemetry,
             )
         self.channel: Optional[LossyChannel] = None
-        self._build_policy(regions)
+        self._build_policy()
         self.watchdog = DaemonWatchdog(
             self.injector,
             restart=self._restart_daemon,
@@ -463,13 +464,13 @@ class ClusterSimulation:
 
     # -- policy wiring -----------------------------------------------------
 
-    def _build_policy(self, regions: Optional[RegionMap]) -> None:
-        self.admd: Optional[Admd] = None
-        self.traditional: Optional[TraditionalPolicy] = None
-        self.tempds: Dict[str, Tempd] = {}
+    def _build_policy(self) -> None:
         self.governors: Dict[str, "DvfsGovernor"] = {}
-        if self.policy == "none":
-            return
+        #: The registry policy managing the cluster through the state
+        #: view (None for "none" and "local-dvfs").
+        self.controller = _build_controller(
+            self.policy, "cluster", config=self.config
+        )
         if self.policy == "local-dvfs":
             from ..freon.local import DvfsGovernor
 
@@ -483,50 +484,23 @@ class ClusterSimulation:
                     telemetry=self.telemetry,
                 )
             return
-        if self.policy == "traditional":
-            self.traditional = TraditionalPolicy(
-                readers={
-                    name: self._temperature_reader(name) for name in self.machines
-                },
-                turn_off=self.request_off,
-                config=self.config,
-                is_on=lambda name: self.webservers[name].is_on,
-            )
+        if self.controller is None:
             return
-        if self.policy == "freon":
-            self.admd = Admd(
-                self.balancer, config=self.config, turn_off=self.request_off,
-                telemetry=self.telemetry,
+        view = self.state_view()
+        if self.controller.datagrams:
+            # tempd -> admd datagrams traverse the (fault-injectable)
+            # channel.  In event mode each datagram is a real kernel
+            # event with a sub-tick network latency; legacy mode flushes
+            # once per tick.
+            self.channel = LossyChannel(
+                partial(self.controller.deliver, view),
+                self.injector,
+                clock=self.kernel.clock if self.mode == "event" else None,
+                latency=self._datagram_latency if self.mode == "event" else 0.0,
             )
-            ec_mode = False
-        else:  # freon-ec
-            region_map = regions or two_region_split(self.machines)
-            self.admd = AdmdEC(
-                self.balancer,
-                regions=region_map,
-                power=self,
-                config=self.config,
-                telemetry=self.telemetry,
-            )
-            ec_mode = True
-        # tempd -> admd datagrams traverse the (fault-injectable) channel.
-        # In event mode each datagram is a real kernel event with a
-        # sub-tick network latency; legacy mode flushes once per tick.
-        self.channel = LossyChannel(
-            self.admd.deliver,
-            self.injector,
-            clock=self.kernel.clock if self.mode == "event" else None,
-            latency=self._datagram_latency if self.mode == "event" else 0.0,
+        self.controller.attach(
+            view, telemetry=self.telemetry, send=self.channel
         )
-        for name in self.machines:
-            self.tempds[name] = Tempd(
-                machine=name,
-                temperature_reader=self._temperature_reader(name),
-                send=self.channel,
-                config=self.config,
-                utilization_reader=self._utilization_reader(name) if ec_mode else None,
-                telemetry=self.telemetry,
-            )
 
     def _cpu_reader(self, name: str):
         def reader() -> float:
@@ -544,29 +518,12 @@ class ClusterSimulation:
 
         return apply
 
-    def _temperature_reader(self, name: str):
-        def reader() -> Dict[str, float]:
-            return {
-                "cpu": self.service.read_temperature(name, "cpu"),
-                "disk": self.service.read_temperature(name, "disk"),
-            }
-
-        return reader
-
-    def _utilization_reader(self, name: str):
-        def reader() -> Dict[str, float]:
-            load = self.webservers[name].load
-            return {"cpu": load.cpu_utilization, "disk": load.disk_utilization}
-
-        return reader
-
     # -- control-plane seam --------------------------------------------------
 
     def state_view(self):
-        """A scalar :class:`~repro.control.ClusterStateView` over this
-        simulation, for driving unified :mod:`repro.control` policies
-        against the exact sensor/balancer/power paths the native
-        daemons use."""
+        """The scalar :class:`~repro.control.ClusterStateView` over this
+        simulation: the sensor/balancer/power paths the management
+        policy acts through."""
         view = getattr(self, "_state_view", None)
         if view is None:
             from ..control import ClusterStateView
@@ -575,21 +532,7 @@ class ClusterSimulation:
             self._state_view = view
         return view
 
-    # -- PowerController interface (used by Freon-EC) -----------------------
-
-    def off_servers(self) -> List[str]:
-        """Machines currently powered off."""
-        return [
-            name for name, ws in self.webservers.items()
-            if ws.state is PowerState.OFF
-        ]
-
-    def active_servers(self) -> List[str]:
-        """Machines currently accepting load."""
-        return [
-            name for name, ws in self.webservers.items()
-            if ws.state is PowerState.ACTIVE
-        ]
+    # -- power control ------------------------------------------------------
 
     def request_on(self, name: str) -> None:
         """Boot a machine; it joins the balancer once booted."""
@@ -608,31 +551,14 @@ class ClusterSimulation:
         server.begin_drain()
 
     def _restart_daemon(self, machine: str, daemon: str) -> None:
-        """Watchdog hook: rebuild a crashed daemon's in-memory state.
+        """Watchdog hook: a restarted tempd loses its in-memory state.
 
-        A restarted tempd gets a fresh controller bank (derivative state
-        does not survive a crash) but keeps knowledge of whether admd
-        holds restrictions for its server — in a real deployment the
-        supervisor hands that over from admd on reconnect.
-
-        The wake cadence needs no attention here: the kernel keeps one
-        "wake" event per machine on the monitor-period grid regardless
-        of crashes, so a restarted daemon is structurally aligned with
-        the grid rather than re-deriving a phase.
+        The wake cadence needs no attention here: the kernel keeps the
+        policy's wake on the monitor-period grid regardless of crashes,
+        so a restarted daemon is structurally aligned with the grid.
         """
-        if daemon != "tempd" or machine not in self.tempds:
-            return  # monitord has no in-memory state to rebuild here
-        old = self.tempds[machine]
-        replacement = Tempd(
-            machine=machine,
-            temperature_reader=self._temperature_reader(machine),
-            send=self.channel,
-            config=self.config,
-            utilization_reader=old._read_utilizations,
-            telemetry=self.telemetry,
-        )
-        replacement.restricted = old.restricted
-        self.tempds[machine] = replacement
+        if daemon == "tempd" and self.controller is not None:
+            self.controller.restart(self.machines.index(machine))
 
     def _set_machine_power(self, name: str, on: bool) -> None:
         factor = 1.0 if on else 0.0
@@ -660,7 +586,6 @@ class ClusterSimulation:
         k.register("wake", self._ev_wake)
         k.register("deliver", self._ev_deliver)
         k.register("evaluate", self._ev_evaluate)
-        k.register("policy", self._ev_policy)
         k.register("governor", self._ev_governor)
         k.register("watchdog", self._ev_watchdog)
 
@@ -674,21 +599,13 @@ class ClusterSimulation:
                 k.schedule(
                     command.time, PRIORITY_COMMAND, "command", {"index": index}
                 )
-        if self.admd is not None:
+        if self.controller is not None:
+            period = self.config.monitor_period
             k.schedule(self.config.stats_period, PRIORITY_STATS, "stats")
-            for name in self.tempds:
-                k.schedule(
-                    self.config.monitor_period, PRIORITY_WAKE, "wake",
-                    {"machine": name},
-                )
-            if self.mode == "legacy":
+            k.schedule(period, PRIORITY_WAKE, "wake")
+            if self.channel is not None and self.mode == "legacy":
                 k.schedule(self.dt, PRIORITY_DELIVER, "deliver")
-            if isinstance(self.admd, AdmdEC):
-                k.schedule(
-                    self.config.monitor_period, PRIORITY_EVALUATE, "evaluate"
-                )
-        if self.traditional is not None:
-            k.schedule(self.config.monitor_period, PRIORITY_POLICY, "policy")
+            k.schedule(period, PRIORITY_EVALUATE, "evaluate")
         for name, governor in self.governors.items():
             k.schedule(
                 governor.period, PRIORITY_GOVERNOR, "governor",
@@ -810,8 +727,6 @@ class ClusterSimulation:
                 self.balancer.activate(name)
                 self.balancer.set_weight(name, self.config.base_weight)
                 self.balancer.set_connection_limit(name, None)
-                if name in self.tempds:
-                    self.tempds[name].restricted = False
 
         # Monitord feed plus one solver advance (step, or coast when the
         # idle fast-forward has proven the field converged).
@@ -967,26 +882,18 @@ class ClusterSimulation:
         )
 
     def _ev_stats(self, event: Event) -> None:
-        self.admd.sample(event.time)
+        self.controller.sample(self.state_view(), event.time)
         self.kernel.schedule(
             event.time + self.config.stats_period, PRIORITY_STATS, "stats"
         )
 
     def _ev_wake(self, event: Event) -> None:
-        name = event.payload["machine"]
         now = event.time
-        tempd = self.tempds.get(name)
-        if (
-            tempd is not None
-            and self.webservers[name].state is PowerState.ACTIVE
-            and self.injector.daemon_up(name, "tempd")
-        ):
-            tempd.wake(now)
-            if self.mode == "event":
-                self._schedule_delivery()
+        self.controller.wake(self.state_view(), now)
+        if self.mode == "event" and self.channel is not None:
+            self._schedule_delivery()
         self.kernel.schedule(
-            now + self.config.monitor_period, PRIORITY_WAKE, "wake",
-            {"machine": name},
+            now + self.config.monitor_period, PRIORITY_WAKE, "wake"
         )
 
     def _ev_deliver(self, event: Event) -> None:
@@ -1008,17 +915,11 @@ class ClusterSimulation:
             )
 
     def _ev_evaluate(self, event: Event) -> None:
-        # Reconfigure once per monitor period, after the tempds.
-        self.admd.evaluate(event.time)
+        # Reconfigure once per monitor period, after the deliveries.
+        self.controller.evaluate(self.state_view(), event.time)
         self.kernel.schedule(
             event.time + self.config.monitor_period, PRIORITY_EVALUATE,
             "evaluate",
-        )
-
-    def _ev_policy(self, event: Event) -> None:
-        self.traditional.check(event.time)
-        self.kernel.schedule(
-            event.time + self.config.monitor_period, PRIORITY_POLICY, "policy"
         )
 
     def _ev_governor(self, event: Event) -> None:
@@ -1127,8 +1028,10 @@ class ClusterSimulation:
     # -- checkpoint / restore ------------------------------------------------
 
     #: Checkpoint format version; bumped on incompatible layout changes.
-    #: Version 2 added the pending event queue (the kernel refactor).
-    CHECKPOINT_VERSION = 2
+    #: Version 2 added the pending event queue (the kernel refactor);
+    #: version 3 replaced the per-daemon state with the registry
+    #: policy's own checkpoint (decision logs included).
+    CHECKPOINT_VERSION = 3
 
     def checkpoint(self) -> Dict[str, object]:
         """Snapshot the entire simulation as plain JSON-able data.
@@ -1136,7 +1039,7 @@ class ClusterSimulation:
         Captures everything :meth:`apply_checkpoint` needs to continue
         the run bit-for-bit on a *freshly constructed* simulation built
         with the same configuration: solver state, balancer and web
-        server state, every daemon's state, the fault injector
+        server state, the management policy's state, the fault injector
         (including its RNG stream), in-flight datagrams, the
         fiddle-script cursor, the kernel's pending event queue (wakes,
         deliveries, script statements — all cadence lives there), and
@@ -1178,18 +1081,6 @@ class ClusterSimulation:
             }
             for name, ws in self.webservers.items()
         }
-        tempd_state = {
-            name: self._tempd_checkpoint(tempd)
-            for name, tempd in self.tempds.items()
-        }
-        admd_state = self._admd_checkpoint() if self.admd is not None else None
-        traditional_state = None
-        if self.traditional is not None:
-            traditional_state = {
-                "elapsed": self.traditional._elapsed,
-                "shutdowns": [asdict(s) for s in self.traditional.shutdowns],
-                "dead": sorted(self.traditional._dead),
-            }
         governor_state = {
             name: {
                 "index": g.index,
@@ -1228,9 +1119,10 @@ class ClusterSimulation:
             "channel": channel_state,
             "balancer": balancer_state,
             "webservers": webserver_state,
-            "tempds": tempd_state,
-            "admd": admd_state,
-            "traditional": traditional_state,
+            "controller": (
+                None if self.controller is None
+                else self.controller.checkpoint()
+            ),
             "governors": governor_state,
             "records": [self._record_to_dict(r) for r in self.records],
         }
@@ -1291,20 +1183,8 @@ class ClusterSimulation:
             ws.speed_factor = float(saved["speed_factor"])
             ws._refresh_speed_terms()
             ws.load = ServerLoad(**saved["load"])
-        for name, saved in data["tempds"].items():
-            if name in self.tempds:
-                self._tempd_restore(self.tempds[name], saved)
-        if self.admd is not None and data["admd"] is not None:
-            self._admd_restore(data["admd"])
-        if self.traditional is not None and data["traditional"] is not None:
-            saved = data["traditional"]
-            self.traditional._elapsed = float(saved["elapsed"])
-            from ..freon.traditional import Shutdown
-
-            self.traditional.shutdowns = [
-                Shutdown(**s) for s in saved["shutdowns"]
-            ]
-            self.traditional._dead = set(saved["dead"])
+        if self.controller is not None and data["controller"] is not None:
+            self.controller.restore(data["controller"])
         for name, saved in data["governors"].items():
             governor = self.governors.get(name)
             if governor is None:
@@ -1342,112 +1222,6 @@ class ClusterSimulation:
         ]
 
     @staticmethod
-    def _tempd_checkpoint(tempd: Tempd) -> Dict[str, object]:
-        last_good = tempd._last_good
-        return {
-            "restricted": tempd.restricted,
-            "hot_components": list(tempd.hot_components),
-            "elapsed": tempd._elapsed,
-            "last_good": (
-                None if last_good is None
-                else [last_good[0], dict(last_good[1])]
-            ),
-            "last_output": tempd._last_output,
-            "read_failures": tempd.read_failures,
-            "stale_wakes": tempd.stale_wakes,
-            "conservative_wakes": tempd.conservative_wakes,
-            "messages_sent": tempd.messages_sent,
-            "controllers": {
-                component: controller._last_temperature
-                for component, controller
-                in tempd._controllers._controllers.items()
-            },
-        }
-
-    @staticmethod
-    def _tempd_restore(tempd: Tempd, saved: Mapping[str, object]) -> None:
-        tempd.restricted = bool(saved["restricted"])
-        tempd.hot_components = list(saved["hot_components"])
-        tempd._elapsed = float(saved["elapsed"])
-        last_good = saved["last_good"]
-        tempd._last_good = (
-            None if last_good is None
-            else (float(last_good[0]), dict(last_good[1]))
-        )
-        tempd._last_output = (
-            None if saved["last_output"] is None
-            else float(saved["last_output"])
-        )
-        tempd.read_failures = int(saved["read_failures"])
-        tempd.stale_wakes = int(saved["stale_wakes"])
-        tempd.conservative_wakes = int(saved["conservative_wakes"])
-        tempd.messages_sent = int(saved["messages_sent"])
-        for component, last in saved["controllers"].items():
-            tempd._controllers.controller(component)._last_temperature = last
-
-    def _admd_checkpoint(self) -> Dict[str, object]:
-        admd = self.admd
-        assert admd is not None
-        state: Dict[str, object] = {
-            "stats_elapsed": admd._stats_elapsed,
-            "samples": {
-                name: [[t, c] for t, c in window]
-                for name, window in admd._samples.items()
-            },
-            "adjustments": [list(a) for a in admd.adjustments],
-            "releases": [list(r) for r in admd.releases],
-            "redlined": [list(r) for r in admd.redlined],
-        }
-        if isinstance(admd, AdmdEC):
-            state["ec"] = {
-                "utilizations": {
-                    name: dict(u) for name, u in admd._utilizations.items()
-                },
-                "previous_average": (
-                    None if admd._previous_average is None
-                    else dict(admd._previous_average)
-                ),
-                "hot": dict(admd._hot),
-                "events": [asdict(e) for e in admd.events],
-                "emergencies": dict(admd.regions._emergencies),
-                "rr_index": admd.regions._rr_index,
-            }
-        return state
-
-    def _admd_restore(self, saved: Mapping[str, object]) -> None:
-        from collections import deque
-
-        admd = self.admd
-        assert admd is not None
-        admd._stats_elapsed = float(saved["stats_elapsed"])
-        for name, window in saved["samples"].items():
-            admd._samples[name] = deque(
-                (float(t), float(c)) for t, c in window
-            )
-        admd.adjustments = [
-            (float(t), str(m), float(o)) for t, m, o in saved["adjustments"]
-        ]
-        admd.releases = [(float(t), str(m)) for t, m in saved["releases"]]
-        admd.redlined = [(float(t), str(m)) for t, m in saved["redlined"]]
-        if isinstance(admd, AdmdEC) and "ec" in saved:
-            from ..freon.ec import EcEvent
-
-            ec = saved["ec"]
-            admd._utilizations = {
-                name: dict(u) for name, u in ec["utilizations"].items()
-            }
-            admd._previous_average = (
-                None if ec["previous_average"] is None
-                else dict(ec["previous_average"])
-            )
-            admd._hot = {name: bool(v) for name, v in ec["hot"].items()}
-            admd.events = [EcEvent(**e) for e in ec["events"]]
-            admd.regions._emergencies = {
-                region: int(n) for region, n in ec["emergencies"].items()
-            }
-            admd.regions._rr_index = int(ec["rr_index"])
-
-    @staticmethod
     def _record_to_dict(record: TickRecord) -> Dict[str, object]:
         # Hot on the sweep path (every record of every run crosses it);
         # hand-rolled instead of dataclasses.asdict, whose recursive
@@ -1481,11 +1255,12 @@ class ClusterSimulation:
 
     def result(self) -> SimulationResult:
         """Bundle the run's records and policy logs."""
-        adjustments = self.admd.adjustments if self.admd else []
-        releases = self.admd.releases if self.admd else []
-        redlined = self.admd.redlined if self.admd else []
-        ec_events = self.admd.events if isinstance(self.admd, AdmdEC) else []
-        shutdowns = self.traditional.shutdowns if self.traditional else []
+        controller = self.controller
+        adjustments = getattr(controller, "adjustments", [])
+        releases = getattr(controller, "releases", [])
+        redlined = getattr(controller, "redlined", [])
+        ec_events = getattr(controller, "events", [])
+        shutdowns = getattr(controller, "shutdowns", [])
         pstate_changes = [
             change
             for governor in self.governors.values()

@@ -10,7 +10,8 @@ from emulation, applied to this repo's two stacks:
   :class:`~repro.cluster.simulation.ClusterSimulation` and a vectorized
   backend over :class:`~repro.topology.sim.ScaleSimulation`.
 * :mod:`repro.control.policies` — Freon, Freon-EC, traditional
-  shutdown, and emergency control rewritten once against the view.
+  shutdown, and emergency control, written once against the view and
+  run by every stack.
 * :mod:`repro.control.registry` — the policy name registry both stacks
   validate against and build from.
 * :mod:`repro.control.parity` — the scalar-vs-vectorized equivalence

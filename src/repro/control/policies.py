@@ -1,36 +1,43 @@
 """Stack-agnostic management policies driving a :class:`MachineStateView`.
 
 Each policy here is the paper's daemon logic (tempd + admd, Freon-EC's
-Figure 10 loop, the traditional red-line shutdown) re-expressed once
-against the :class:`~repro.control.view.MachineStateView` seam, so the
-identical object manages a 4-machine :class:`ClusterSimulation` (through
-the scalar view) or a 10k-machine :class:`ScaleSimulation` (through the
-vectorized view).  ``tests/control`` holds the proof: on the cluster
-stack the unified :class:`FreonPolicy`/:class:`FreonECPolicy` reproduce
-the native daemons' decision sequences exactly, and the scalar-vs-flat
-parity harness shows both views yield the same decisions and
-temperatures within 1e-9 °C.
+Figure 10 loop, the traditional red-line shutdown) written once against
+the :class:`~repro.control.view.MachineStateView` seam, so the identical
+object manages a 4-machine :class:`ClusterSimulation` (through the
+scalar view) or a 10k-machine :class:`ScaleSimulation` (through the
+vectorized view).  ``tests/golden/cluster_decisions.json`` pins the
+cluster stack's decisions, and the scalar-vs-flat parity harness shows
+both views yield the same decisions and temperatures within 1e-9 °C.
 
-Structure of one :meth:`FreonPolicy.wake`:
+One Freon monitor period has two halves:
 
-1. **tempd phase (vectorized)** — read every awake machine's component
-   temperatures through the view (one array per component class; ``NaN``
-   marks a failed read), run the PD-controller arithmetic on whole
-   columns, and derive per-machine message masks (REDLINE / ADJUST /
-   RELEASE / STATUS) with the exact tempd state machine: last-known-good
-   staleness holds, the conservative fallback, derivative resets on
-   release, restriction clearing on reboot.
-2. **admd phase (sequential)** — deliver the messages machine-by-machine
-   in canonical order (the daemons' registration order), applying the
-   paper's weight/cap/power actuations through the view.  Each datagram
-   takes one :meth:`~MachineStateView.datagram_fate` draw when network
-   faults are active, so chaos scenarios perturb the unified policy the
-   same way they perturb the native daemons.
+1. **tempd** (:meth:`FreonPolicy.wake`, vectorized) — read every awake
+   machine's component temperatures through the view (one array per
+   component class; ``NaN`` marks a failed read), run the PD-controller
+   arithmetic on whole columns, and derive per-machine messages
+   (REDLINE / ADJUST / RELEASE / STATUS) with the exact tempd state
+   machine: last-known-good staleness holds, the conservative fallback,
+   derivative resets on release and on a watchdog restart, restriction
+   clearing on reboot.  On a ``sequential`` view (the cluster's, while
+   a fault is active) this runs machine by machine, so each machine's
+   sensor reads and datagram sends happen before the next machine
+   reads, as with one tempd per server.
+2. **admd** (:meth:`FreonPolicy.deliver`, sequential) — act on each
+   message in arrival order, applying the paper's weight/cap/power
+   actuations through the view.  Messages travel as
+   :class:`~repro.daemons.tempd.TempdMessage` values through the
+   ``send`` callable given to :meth:`FreonPolicy.attach` (the cluster
+   passes its fault-injectable ``LossyChannel``, which hands them back
+   to :meth:`deliver`); with no ``send`` attached they are handled in
+   place, in send order.
+
+Freon-EC adds a third step, :meth:`FreonECPolicy.evaluate`, the grow /
+shrink pass the host runs after the period's datagrams are delivered.
 
 The sums inside the share-reduction and utilization-averaging arithmetic
 deliberately run as Python left-folds in canonical machine order — not
-``np.sum`` — so results are bit-identical to the scalar daemons'
-``sum()`` over their dicts.
+``np.sum`` — so results are bit-identical to builtin ``sum()`` over
+insertion-ordered dicts.
 
 Registration happens at the bottom of this module; importing
 :mod:`repro.control` populates the registry.
@@ -40,7 +47,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 try:  # NumPy is required for the unified policies; imports stay gated
     import numpy as np
@@ -48,21 +56,46 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None
 
 from ..config import table1
+from ..daemons.tempd import (
+    MSG_ADJUST,
+    MSG_REDLINE,
+    MSG_RELEASE,
+    MSG_STATUS,
+    TempdMessage,
+)
 from ..errors import ControlError
-from ..freon.ec import EcEvent
 from ..freon.policy import FreonConfig, weight_for_share_reduction
 from ..freon.regions import RegionMap
-from ..freon.traditional import Shutdown
+from ..telemetry import ensure as _ensure_telemetry
 from .registry import PolicySpec, register
 from .view import POWER_ACTIVE, POWER_OFF, MachineStateView
+
+
+@dataclass(frozen=True)
+class EcEvent:
+    """One Freon-EC reconfiguration decision, for experiment records."""
+
+    time: float
+    action: str  # "on" | "off"
+    machine: str
+    reason: str
+
+
+@dataclass(frozen=True)
+class Shutdown:
+    """One traditional red-line shutdown, for experiment records."""
+
+    time: float
+    machine: str
+    component: str
+    temperature: float
 
 
 def _ordered_sum(values) -> float:
     """Left-fold sum in iteration order, matching builtin ``sum()``.
 
-    The scalar daemons total weights/utilizations with ``sum()`` over
-    insertion-ordered dicts; reproducing their float results exactly
-    requires the same association order, which ``np.sum`` does not
+    Reproducing float totals exactly requires the association order of
+    a ``sum()`` over insertion-ordered dicts, which ``np.sum`` does not
     guarantee.
     """
     total = 0.0
@@ -74,20 +107,35 @@ def _ordered_sum(values) -> float:
 class ControlPolicy:
     """Base class: the surface a simulation harness drives.
 
-    ``sample`` runs on the stats-period grid (admd's LVS polling),
-    ``wake`` on the monitor-period grid (tempd wake + admd delivery +
-    any periodic evaluation).  ``checkpoint``/``restore`` round-trip all
-    decision-relevant state through plain JSON so host simulations
+    Every monitor period the host calls ``wake``, then delivers any
+    datagrams it sent (``datagrams`` policies only), then calls
+    ``evaluate``; ``sample`` runs on the stats-period grid (admd's LVS
+    polling).  ``checkpoint``/``restore`` round-trip all decision state,
+    decision logs included, through plain JSON so host simulations
     resume bit-exactly.
     """
 
     name = "base"
+    #: Whether ``wake`` sends tempd -> admd datagrams through the
+    #: ``send`` given to :meth:`attach`; the host hands each one back to
+    #: ``deliver``.
+    datagrams = False
+
+    def attach(self, view: MachineStateView, telemetry=None,
+               send: Optional[Callable[[TempdMessage], None]] = None) -> None:
+        """Wire the policy to a host: its telemetry and datagram path."""
 
     def sample(self, view: MachineStateView, now: float) -> None:
         """Record periodic statistics (no actuation)."""
 
     def wake(self, view: MachineStateView, now: float) -> None:
-        """One monitor-period pass: observe, decide, actuate."""
+        """One monitor-period pass: observe, decide, actuate or send."""
+
+    def evaluate(self, view: MachineStateView, now: float) -> None:
+        """Periodic pass after the period's datagrams are delivered."""
+
+    def restart(self, index: int) -> None:
+        """A watchdog restarted machine ``index``'s monitoring daemon."""
 
     def checkpoint(self) -> Dict[str, object]:
         """Decision-relevant state as plain JSON-able data."""
@@ -98,15 +146,16 @@ class ControlPolicy:
 
 
 class FreonPolicy(ControlPolicy):
-    """Base Freon (section 4.1), unified: tempd + admd in one wake.
+    """Base Freon (section 4.1): tempd on every machine, admd at the LVS.
 
     State lives in per-machine arrays mirroring each tempd's fields
     (``restricted``, the PD controllers' last temperatures, the last
-    ADJUST output, the last-good read time) plus admd's rolling
-    connection-sample window.
+    good reading and its time, the last ADJUST output, resilience
+    counters) plus admd's rolling connection-sample window.
     """
 
     name = "freon"
+    datagrams = True
     #: Subclasses flip this to generate STATUS messages (Freon-EC mode).
     _ec_mode = False
 
@@ -114,41 +163,113 @@ class FreonPolicy(ControlPolicy):
         if np is None:
             raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
-        #: Component classes, in the config's (dict) order — the same
-        #: order tempd's reader dict iterates.
+        #: Component classes, in the config's (dict) order: the rows of
+        #: every per-class array below.
         self.classes: Tuple[str, ...] = tuple(self.config.thresholds)
+        thresholds = [self.config.thresholds[c] for c in self.classes]
+        self._high = np.array([[t.high] for t in thresholds])
+        self._low = np.array([[t.low] for t in thresholds])
+        self._red = np.array([[t.red] for t in thresholds])
         self._n: Optional[int] = None
-        #: Decision records, mirroring admd's lists.
+        self._row: Optional[Dict[str, int]] = None
+        self.telemetry = _ensure_telemetry(None)
+        #: Datagram path (None: handle every message in place).
+        self._send: Optional[Callable[[TempdMessage], None]] = None
+        #: admd's decision records.
         self.adjustments: List[Tuple[float, str, float]] = []
         self.releases: List[Tuple[float, str]] = []
         self.redlined: List[Tuple[float, str]] = []
         #: Count of ADJUST actuations (the scale stack's summary metric).
         self.throttle_events = 0
 
-    # -- lazy sizing -------------------------------------------------------
+    # -- sizing and wiring -------------------------------------------------
 
     def _ensure(self, view: MachineStateView) -> None:
         n = len(view.machines)
-        if self._n == n:
-            return
-        if self._n is not None:
-            raise ControlError(
-                f"policy sized for {self._n} machines, view has {n}"
-            )
+        if self._n != n:
+            if self._n is not None:
+                raise ControlError(
+                    f"policy sized for {self._n} machines, view has {n}"
+                )
+            self._size(n)
+        if self._row is None:
+            self._row = {name: i for i, name in enumerate(view.machines)}
+
+    def _size(self, n: int) -> None:
         self._n = n
         self.restricted = np.zeros(n, dtype=bool)
-        #: NaN = no derivative state (a fresh/reset PDController).
-        self._last_T = {c: np.full(n, np.nan) for c in self.classes}
-        #: NaN = no prior ADJUST output (tempd's ``_last_output=None``).
-        self._last_output = np.full(n, np.nan)
-        #: NaN = never had a good read (tempd's ``_last_good=None``).
+        k = len(self.classes)
+        #: PD controllers' last temperature, class x machine (NaN = no
+        #: derivative state: a fresh or reset controller).
+        self._last_T = np.full((k, n), np.nan)
+        #: Last good reading, class x machine (NaN = none since start or
+        #: restart).
+        self._good_T = np.full((k, n), np.nan)
+        #: Time of the last good reading (NaN = none).
         self._last_good = np.full(n, np.nan)
+        #: NaN = no prior ADJUST output.
+        self._last_output = np.full(n, np.nan)
         #: Machines seen active last wake: a False->True edge is a
-        #: finished (re)boot, which clears the restriction flag exactly
-        #: like the cluster's boot-finish hook clears tempd.restricted.
+        #: finished (re)boot, which clears the restriction flag.
         self._was_active = np.ones(n, dtype=bool)
+        #: Failed-read wake-ups: all, stale holds, conservative fallbacks.
+        self.read_failures = np.zeros(n, dtype=np.int64)
+        self.stale_wakes = np.zeros(n, dtype=np.int64)
+        self.conservative_wakes = np.zeros(n, dtype=np.int64)
         #: admd's rolling (time, connections-array) sample window.
         self._windows: Deque[Tuple[float, "np.ndarray"]] = deque()
+        self._average: Optional["np.ndarray"] = None
+
+    def attach(self, view, telemetry=None, send=None) -> None:
+        self._ensure(view)
+        self._send = send
+        self.telemetry = telemetry = _ensure_telemetry(telemetry)
+        if not telemetry.enabled:
+            return
+        self._tel_actions = {
+            action: telemetry.counter(
+                "freon_actuations_total", {"action": action},
+                help="admd actuations on the load balancer, by action.",
+            )
+            for action in ("adjust", "release", "redline")
+        }
+        #: Per machine: (wakes, read failures, stale, conservative, output).
+        self._tel_tempd = []
+        for name in view.machines:
+            labels = {"machine": name}
+            self._tel_tempd.append((
+                telemetry.counter(
+                    "tempd_wakes_total", labels,
+                    help="tempd monitor-period wake-ups.",
+                ),
+                telemetry.counter(
+                    "tempd_read_failures_total", labels,
+                    help="Wake-ups whose sensor read failed.",
+                ),
+                telemetry.counter(
+                    "tempd_stale_wakes_total", labels,
+                    help="Failed-read wake-ups holding the last-known-good "
+                         "posture.",
+                ),
+                telemetry.counter(
+                    "tempd_conservative_wakes_total", labels,
+                    help="Failed-read wake-ups falling back to conservative "
+                         "throttling.",
+                ),
+                telemetry.gauge(
+                    "tempd_pd_output", labels,
+                    help="Most recent PD-controller output sent to admd.",
+                ),
+            ))
+
+    def restart(self, index: int) -> None:
+        """The restarted tempd starts with fresh PD controllers and no
+        last good reading or ADJUST output; ``restricted`` survives (a
+        supervisor hands it over from admd on reconnect)."""
+        self._last_T[:, index] = np.nan
+        self._good_T[:, index] = np.nan
+        self._last_good[index] = np.nan
+        self._last_output[index] = np.nan
 
     # -- admd statistics ---------------------------------------------------
 
@@ -158,25 +279,29 @@ class FreonPolicy(ControlPolicy):
         horizon = now - self.config.monitor_period
         while self._windows and self._windows[0][0] < horizon:
             self._windows.popleft()
+        self._average = None
 
-    def _average_connections(self, view: MachineStateView) -> "np.ndarray":
-        """Mean connections over the window (admd.average_connections)."""
+    def _connection_cap(self, view: MachineStateView, i: int) -> float:
+        """Mean connections over the window (admd's LVS statistic); the
+        current count before the first sample."""
         if not self._windows:
-            return view.connections()
-        total = None
-        for _, connections in self._windows:
-            # Left-fold, matching the scalar per-machine builtin sum().
-            total = connections.copy() if total is None else total + connections
-        return total / len(self._windows)
+            return float(view.connections()[i])
+        if self._average is None:
+            total = None
+            for _, connections in self._windows:
+                # Left-fold, matching a per-machine builtin sum().
+                total = (
+                    connections.copy() if total is None
+                    else total + connections
+                )
+            self._average = total / len(self._windows)
+        return float(self._average[i])
 
-    # -- the wake: tempd phase (vectorized) --------------------------------
+    # -- tempd: the monitor-period wake ------------------------------------
 
     def wake(self, view: MachineStateView, now: float) -> None:
         self._ensure(view)
-        config = self.config
-        n = self._n
-        power = view.power_states()
-        active = power == POWER_ACTIVE
+        active = view.power_states() == POWER_ACTIVE
         newly_active = active & ~self._was_active
         if newly_active.any():
             self.restricted[newly_active] = False
@@ -184,115 +309,157 @@ class FreonPolicy(ControlPolicy):
         awake = active & view.daemons_up()
         if not awake.any():
             return
-        temps = view.read_temperatures(self.classes, mask=awake)
-        failed = np.zeros(n, dtype=bool)
-        for c in self.classes:
-            failed |= np.isnan(temps[c])
-        failed &= awake
+        utilizations = (
+            view.read_utilizations(self.classes) if self._ec_mode else None
+        )
+        if not view.sequential:
+            self._tempd(view, now, awake, utilizations)
+            return
+        for i in np.flatnonzero(awake):
+            one = np.zeros(self._n, dtype=bool)
+            one[i] = True
+            self._tempd(view, now, one, utilizations)
+
+    def _tempd(self, view, now, awake, utilizations) -> None:
+        """The tempd state machine for the machines in ``awake``."""
+        config = self.config
+        readings = view.read_temperatures(self.classes, mask=awake)
+        T = np.array([readings[c] for c in self.classes])
+        failed = awake & np.isnan(T).any(axis=0)
         ok = awake & ~failed
 
-        outputs = np.zeros(n)
-        hot_any = np.zeros(n, dtype=bool)
-        red_any = np.zeros(n, dtype=bool)
-        cool_all = ok.copy()
-        for c in self.classes:
-            T = temps[c]
-            thresholds = config.thresholds[c]
-            last_T = self._last_T[c]
-            # First observation: the derivative term contributes nothing.
-            prev = np.where(np.isnan(last_T), T, last_T)
-            out_c = np.maximum(
-                config.kp * (T - thresholds.high) + config.kd * (T - prev),
-                0.0,
-            )
-            hot_c = ok & (T > thresholds.high)
-            outputs[hot_c] = np.maximum(outputs[hot_c], out_c[hot_c])
-            hot_any |= hot_c
-            red_any |= ok & (T >= thresholds.red)
-            cool_all &= T < thresholds.low
-            # update()/observe() both record the current temperature.
-            last_T[ok] = T[ok]
+        last_T = self._last_T
+        # First observation: the derivative term contributes nothing.
+        prev = np.where(np.isnan(last_T), T, last_T)
+        pd = np.maximum(
+            config.kp * (T - self._high) + config.kd * (T - prev), 0.0
+        )
+        hot = ok & (T > self._high)
+        outputs = np.where(hot, pd, 0.0).max(axis=0)
+        adjust = hot.any(axis=0)
+        red = ok & (T >= self._red).any(axis=0)
+        release = ok & (T < self._low).all(axis=0) & self.restricted
+        # The controllers record every observed temperature, hot or not.
+        np.copyto(last_T, T, where=ok)
+        np.copyto(self._good_T, T, where=ok)
         self._last_good[ok] = now
 
-        release = ok & cool_all & self.restricted
-        adjust = hot_any
-        # Failed-read resilience path (tempd._wake_without_readings).
-        fresh = (
-            failed
-            & ~np.isnan(self._last_good)
-            & (now - self._last_good <= config.sensor_staleness_limit + 1e-9)
+        # Failed-read resilience: hold the last-known-good posture within
+        # the staleness limit, fail conservative past it.
+        fresh = failed & (
+            now - self._last_good <= config.sensor_staleness_limit + 1e-9
         )
         stale_hold = fresh & self.restricted & ~np.isnan(self._last_output)
         conservative = failed & ~fresh
+        self.read_failures += failed
+        self.stale_wakes += fresh
+        self.conservative_wakes += conservative
 
-        message_output = outputs.copy()
-        message_output[stale_hold] = self._last_output[stale_hold]
-        message_output[conservative] = config.conservative_output
-
-        # tempd-side state transitions.
-        self.restricted[adjust] = True
-        self._last_output[adjust] = outputs[adjust]
-        self.restricted[release] = False
-        for c in self.classes:
-            self._last_T[c][release] = np.nan  # controllers.reset()
-        self.restricted[conservative] = True
-        self._last_output[conservative] = config.conservative_output
-
-        send_adjust = adjust | stale_hold | conservative
-        self._deliver_all(
-            view, now, ok, red_any, send_adjust, release, message_output
+        message_output = np.where(
+            conservative, config.conservative_output,
+            np.where(stale_hold, self._last_output, outputs),
         )
-        self._after_delivery(view, now)
+        if self.telemetry.enabled:
+            self._publish_wake(
+                view, awake, failed, fresh, adjust | conservative,
+                message_output,
+            )
 
-    def _after_delivery(self, view: MachineStateView, now: float) -> None:
-        """Hook for periodic evaluation after delivery (Freon-EC)."""
+        self.restricted = (self.restricted & ~release) | adjust | conservative
+        self._last_output = np.where(
+            adjust | conservative, message_output, self._last_output
+        )
+        np.copyto(last_T, np.nan, where=release)  # controllers reset
 
-    # -- the wake: admd phase (sequential delivery) -------------------------
-
-    def _deliver_all(
-        self, view, now, ok, red_any, send_adjust, release, message_output
-    ) -> None:
-        rows = red_any | send_adjust | release
-        if self._ec_mode:
-            rows = rows | ok  # STATUS from every successful read
-            utilizations = view.read_utilizations(self.classes)
-        else:
-            utilizations = None
-        if not rows.any():
-            return
-        lossy = view.has_network_faults()
-        self._avg_cache: Optional["np.ndarray"] = None
-        for i in np.flatnonzero(rows):
+        # Per-machine message order: REDLINE, then ADJUST or RELEASE,
+        # then STATUS.
+        send_adjust = adjust | stale_hold | conservative
+        status = ok if self._ec_mode else np.zeros_like(ok)
+        for i in np.flatnonzero(red | send_adjust | release | status):
             i = int(i)
-            # Per-machine message order is tempd's: REDLINE first, then
-            # ADJUST or RELEASE, then STATUS.
-            if red_any[i]:
-                self._post(view, lossy, self._deliver_redline, now, i)
+            if red[i]:
+                self._post(view, now, MSG_REDLINE, i)
             if send_adjust[i]:
                 self._post(
-                    view, lossy, self._deliver_adjust, now, i,
-                    float(message_output[i]),
+                    view, now, MSG_ADJUST, i, float(message_output[i])
                 )
             elif release[i]:
-                self._post(view, lossy, self._deliver_release, now, i)
-            if self._ec_mode and ok[i]:
+                self._post(view, now, MSG_RELEASE, i)
+            if status[i]:
                 self._post(
-                    view, lossy, self._deliver_status, now, i, utilizations,
+                    view, now, MSG_STATUS, i,
+                    utilizations={
+                        c: float(utilizations[c][i]) for c in self.classes
+                    },
                 )
 
-    def _post(self, view, lossy, handler, now, i, *args) -> None:
-        """Deliver one datagram, applying its network fate like the
-        native LossyChannel: one fate draw per send, dropped messages
-        vanish, duplicated messages are handled twice back-to-back."""
-        copies = 1
-        if lossy:
-            dropped, duplicated, _delay = view.datagram_fate()
-            if dropped:
-                return
-            if duplicated:
-                copies = 2
-        for _ in range(copies):
-            handler(view, now, i, *args)
+    def _publish_wake(self, view, awake, failed, fresh, set_output,
+                      message_output) -> None:
+        """tempd's per-machine wake telemetry (series and events)."""
+        telemetry = self.telemetry
+        for i in np.flatnonzero(awake):
+            i = int(i)
+            wakes, failures, stale, conservative, output = self._tel_tempd[i]
+            wakes.inc()
+            if failed[i]:
+                failures.inc()
+                machine = view.machines[i]
+                if fresh[i]:
+                    stale.inc()
+                    telemetry.event(
+                        "tempd_stale_hold", "tempd", machine=machine,
+                        restricted=bool(self.restricted[i]),
+                    )
+                else:
+                    conservative.inc()
+                    telemetry.event(
+                        "tempd_conservative_fallback", "tempd",
+                        machine=machine,
+                        output=self.config.conservative_output,
+                    )
+            if set_output[i]:
+                output.set(float(message_output[i]))
+
+    def _post(self, view, now, kind, i, output=0.0, utilizations=None) -> None:
+        """Send one tempd -> admd datagram (or handle it in place)."""
+        machine = view.machines[i]
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "tempd_messages_total", {"machine": machine, "type": kind},
+                help="tempd messages sent to admd, by type.",
+            ).inc()
+        if self._send is None:
+            self._handle(view, kind, now, i, output, utilizations)
+            return
+        good = self._good_T[:, i]
+        temperatures = (
+            {} if math.isnan(good[0])
+            else dict(zip(self.classes, good.tolist()))
+        )
+        self._send(TempdMessage(
+            type=kind, machine=machine, time=now, output=output,
+            temperatures=temperatures, utilizations=utilizations or {},
+        ))
+
+    # -- admd: message delivery --------------------------------------------
+
+    def deliver(self, view: MachineStateView, message: TempdMessage) -> None:
+        """admd's end of the datagram path: act on one tempd message."""
+        self._ensure(view)
+        self._handle(
+            view, message.type, message.time, self._row[message.machine],
+            message.output, message.utilizations,
+        )
+
+    def _handle(self, view, kind, now, i, output, utilizations) -> None:
+        if kind == MSG_ADJUST:
+            self._on_adjust(view, now, i, output)
+        elif kind == MSG_RELEASE:
+            self._on_release(view, now, i)
+        elif kind == MSG_REDLINE:
+            self._on_redline(view, now, i)
+        elif kind == MSG_STATUS:
+            self._on_status(i, utilizations)
 
     def _active_weights(self, view: MachineStateView) -> Dict[str, float]:
         """Weights of currently active machines, in canonical order —
@@ -304,30 +471,52 @@ class FreonPolicy(ControlPolicy):
             for j in np.flatnonzero(power == POWER_ACTIVE)
         }
 
-    def _deliver_adjust(self, view, now, i, output) -> None:
+    def _on_adjust(self, view, now, i, output) -> None:
         if view.power_state(i) != POWER_ACTIVE:
             return  # drained/booting machines take no load to shift
         machine = view.machines[i]
-        weights = self._active_weights(view)
-        new_weight = weight_for_share_reduction(weights, machine, output)
+        new_weight = weight_for_share_reduction(
+            self._active_weights(view), machine, output,
+            telemetry=self.telemetry,
+        )
         view.set_weight(i, new_weight)
-        if self._avg_cache is None:
-            self._avg_cache = self._average_connections(view)
-        view.set_connection_cap(i, float(self._avg_cache[i]))
+        view.set_connection_cap(i, self._connection_cap(view, i))
         self.adjustments.append((now, machine, output))
         self.throttle_events += 1
+        if self.telemetry.enabled:
+            self._tel_actions["adjust"].inc()
+            self._publish_weight(machine, new_weight)
+            self.telemetry.event(
+                "freon_adjust", "admd", machine=machine,
+                output=output, weight=new_weight,
+            )
 
-    def _deliver_release(self, view, now, i) -> None:
+    def _on_release(self, view, now, i) -> None:
+        machine = view.machines[i]
         view.set_weight(i, self.config.base_weight)
         view.set_connection_cap(i, None)
-        self.releases.append((now, view.machines[i]))
+        self.releases.append((now, machine))
+        if self.telemetry.enabled:
+            self._tel_actions["release"].inc()
+            self._publish_weight(machine, self.config.base_weight)
+            self.telemetry.event("freon_release", "admd", machine=machine)
 
-    def _deliver_redline(self, view, now, i) -> None:
-        self.redlined.append((now, view.machines[i]))
+    def _on_redline(self, view, now, i) -> None:
+        machine = view.machines[i]
+        self.redlined.append((now, machine))
+        if self.telemetry.enabled:
+            self._tel_actions["redline"].inc()
+            self.telemetry.event("freon_redline", "admd", machine=machine)
         view.set_power(i, False)
 
-    def _deliver_status(self, view, now, i, utilizations) -> None:
+    def _on_status(self, i, utilizations) -> None:
         """Base Freon ignores STATUS; Freon-EC overrides this."""
+
+    def _publish_weight(self, machine: str, weight: float) -> None:
+        self.telemetry.gauge(
+            "freon_weight", {"machine": machine},
+            help="Current LVS weight set by Freon.",
+        ).set(weight)
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -337,43 +526,66 @@ class FreonPolicy(ControlPolicy):
         return {
             "sized": True,
             "restricted": self.restricted.tolist(),
-            "last_T": {c: a.tolist() for c, a in self._last_T.items()},
+            "last_T": dict(zip(self.classes, self._last_T.tolist())),
+            "good_T": dict(zip(self.classes, self._good_T.tolist())),
             "last_output": self._last_output.tolist(),
             "last_good": self._last_good.tolist(),
             "was_active": self._was_active.tolist(),
+            "read_failures": self.read_failures.tolist(),
+            "stale_wakes": self.stale_wakes.tolist(),
+            "conservative_wakes": self.conservative_wakes.tolist(),
             "windows": [
                 [t, connections.tolist()] for t, connections in self._windows
             ],
             "throttle_events": self.throttle_events,
+            "adjustments": [list(a) for a in self.adjustments],
+            "releases": [list(r) for r in self.releases],
+            "redlined": [list(r) for r in self.redlined],
         }
 
     def restore(self, data: Dict[str, object]) -> None:
         if not data.get("sized"):
             return
         restricted = np.array(data["restricted"], dtype=bool)
-        self._n = len(restricted)
+        if self._n is None:
+            self._size(len(restricted))
+        elif self._n != len(restricted):
+            raise ControlError(
+                f"checkpoint holds {len(restricted)} machines, policy "
+                f"is sized for {self._n}"
+            )
         self.restricted = restricted
-        self._last_T = {
-            c: np.array(data["last_T"][c], dtype=float) for c in self.classes
-        }
+        self._last_T = np.array(
+            [data["last_T"][c] for c in self.classes], dtype=float
+        )
+        self._good_T = np.array(
+            [data["good_T"][c] for c in self.classes], dtype=float
+        )
         self._last_output = np.array(data["last_output"], dtype=float)
         self._last_good = np.array(data["last_good"], dtype=float)
         self._was_active = np.array(data["was_active"], dtype=bool)
+        for name in ("read_failures", "stale_wakes", "conservative_wakes"):
+            setattr(self, name, np.array(data[name], dtype=np.int64))
         self._windows = deque(
             (float(t), np.array(connections, dtype=float))
             for t, connections in data["windows"]
         )
+        self._average = None
         self.throttle_events = int(data["throttle_events"])
+        self.adjustments = [
+            (float(t), str(m), float(o)) for t, m, o in data["adjustments"]
+        ]
+        self.releases = [(float(t), str(m)) for t, m in data["releases"]]
+        self.redlined = [(float(t), str(m)) for t, m in data["redlined"]]
 
 
 class FreonECPolicy(FreonPolicy):
-    """Freon-EC (section 4.2, Figure 10), unified.
+    """Freon-EC (section 4.2, Figure 10).
 
-    Inherits the full tempd/admd wake and adds the energy-conservation
-    loop: STATUS bookkeeping, per-region emergency counting, hot-server
-    replacement, and the periodic grow/shrink evaluation — the same
-    arithmetic as :class:`~repro.freon.ec.AdmdEC`, actuated through the
-    view's power switch.
+    Inherits the full tempd/admd loop and adds the energy-conservation
+    side: STATUS bookkeeping, per-region emergency counting, hot-server
+    replacement, and the periodic grow/shrink :meth:`evaluate`,
+    actuated through the view's power switch.
     """
 
     name = "freon-ec"
@@ -390,88 +602,76 @@ class FreonECPolicy(FreonPolicy):
         self.util_high = util_high
         self.util_low = util_low
         self.min_active = min_active
-        self._regions: Optional[RegionMap] = None
-        self._row: Dict[str, int] = {}
-        #: Machines currently known hot (sticky across power-off, like
-        #: AdmdEC._hot: only a RELEASE clears the flag).
+        #: Region map (built from the view on first use).
+        self.regions: Optional[RegionMap] = None
+        #: Machines currently known hot (sticky across power-off: only a
+        #: RELEASE clears the flag).
         self._hot: Dict[str, bool] = {}
         self._previous_average: Optional[Dict[str, float]] = None
         self.events: List[EcEvent] = []
         #: rr cursor restored before the region map is (re)built lazily.
         self._pending_rr: Optional[int] = None
 
-    def _ensure(self, view: MachineStateView) -> None:
-        fresh = self._n != len(view.machines)
-        super()._ensure(view)
-        if fresh:
-            n = self._n
-            #: Latest STATUS payload per machine, one column per class.
-            self._util_store = {c: np.zeros(n) for c in self.classes}
-            self._util_known = np.zeros(n, dtype=bool)
+    def _size(self, n: int) -> None:
+        super()._size(n)
+        #: Latest STATUS payload per machine, one column per class.
+        self._util_store = {c: np.zeros(n) for c in self.classes}
+        self._util_known = np.zeros(n, dtype=bool)
 
-    def _ensure_regions(self, view: MachineStateView) -> None:
-        if self._regions is not None:
+    def _ensure(self, view: MachineStateView) -> None:
+        super()._ensure(view)
+        if self.regions is not None:
             return
-        assignment = {
+        self.regions = RegionMap({
             name: view.region_of(i) for i, name in enumerate(view.machines)
-        }
-        self._regions = RegionMap(assignment)
-        self._row = {name: i for i, name in enumerate(view.machines)}
+        })
         # Region emergency counts are derivable from the sticky hot set
         # (one note per newly-hot machine, one clear per release).
         for name, hot in self._hot.items():
             if hot:
-                self._regions.note_emergency(name)
+                self.regions.note_emergency(name)
         if self._pending_rr is not None:
-            self._regions.rr_index = self._pending_rr
+            self.regions.rr_index = self._pending_rr
             self._pending_rr = None
 
-    def wake(self, view: MachineStateView, now: float) -> None:
-        self._ensure(view)
-        self._ensure_regions(view)
-        super().wake(view, now)
+    # -- message handling ---------------------------------------------------
 
-    def _after_delivery(self, view: MachineStateView, now: float) -> None:
-        self.evaluate(view, now)
-
-    # -- message handling overrides (AdmdEC) --------------------------------
-
-    def _deliver_status(self, view, now, i, utilizations) -> None:
+    def _on_status(self, i, utilizations) -> None:
         for c in self.classes:
-            self._util_store[c][i] = utilizations[c][i]
+            self._util_store[c][i] = utilizations[c]
         self._util_known[i] = True
 
-    def _deliver_adjust(self, view, now, i, output) -> None:
+    def _on_adjust(self, view, now, i, output) -> None:
         machine = view.machines[i]
         newly_hot = not self._hot.get(machine, False)
         self._hot[machine] = True
         if newly_hot:
-            self._regions.note_emergency(machine)
+            self.regions.note_emergency(machine)
             self._respond_to_emergency(view, now, i, output)
         elif view.power_state(i) == POWER_ACTIVE:
             # Ongoing emergency on a server we decided to keep: base policy.
-            super()._deliver_adjust(view, now, i, output)
+            super()._on_adjust(view, now, i, output)
 
-    def _deliver_release(self, view, now, i) -> None:
+    def _on_release(self, view, now, i) -> None:
         machine = view.machines[i]
         if self._hot.get(machine, False):
             self._hot[machine] = False
-            self._regions.clear_emergency(machine)
-        super()._deliver_release(view, now, i)
+            self.regions.clear_emergency(machine)
+        super()._on_release(view, now, i)
 
     def _respond_to_emergency(self, view, now, i, output) -> None:
         """Figure 10's hot-component branch."""
         needed = self._servers_needed(view)
         if needed >= self._n:
             # All servers in the cluster need to be active.
-            FreonPolicy._deliver_adjust(self, view, now, i, output)
+            FreonPolicy._on_adjust(self, view, now, i, output)
             return
         active = np.flatnonzero(view.power_states() == POWER_ACTIVE)
         if needed >= len(active):
             # Cannot remove a server without replacing it first.
             replacement = self._pick_off_server(view)
             if replacement is None:
-                FreonPolicy._deliver_adjust(self, view, now, i, output)
+                FreonPolicy._on_adjust(self, view, now, i, output)
                 return
             view.set_power(replacement, True)
             self._log(now, "on", view.machines[replacement],
@@ -482,10 +682,21 @@ class FreonECPolicy(FreonPolicy):
     # -- periodic reconfiguration -------------------------------------------
 
     def evaluate(self, view: MachineStateView, now: float) -> None:
-        """One Figure 10 grow/shrink pass; runs after every delivery."""
+        """One Figure 10 grow/shrink pass, after the period's deliveries."""
+        self._ensure(view)
         average = self._average_utilizations(view)
         projected = self._project(average)
         self._previous_average = average
+        if self.telemetry.enabled:
+            for component, value in projected.items():
+                self.telemetry.gauge(
+                    "freon_ec_projected_utilization", {"component": component},
+                    help="Two-interval projected cluster-average utilization.",
+                ).set(value)
+            self.telemetry.gauge(
+                "freon_ec_active_servers",
+                help="Servers currently accepting load.",
+            ).set(int((view.power_states() == POWER_ACTIVE).sum()))
 
         # Grow when projected demand exceeds the high threshold.
         if projected and max(projected.values()) > self.util_high:
@@ -508,6 +719,8 @@ class FreonECPolicy(FreonPolicy):
                 break
             view.set_power(victim, False)
             self._log(now, "off", view.machines[victim], "energy conservation")
+            # Recompute the average as if the load spread over one fewer
+            # server, so "as many as possible" stops at the right count.
             scale = len(active) / max(len(active) - 1, 1)
             average = {c: u * scale for c, u in average.items()}
 
@@ -563,7 +776,7 @@ class FreonECPolicy(FreonPolicy):
         }
         if not off:
             return None
-        regions = self._regions
+        regions = self.regions
         region = regions.pick_region(
             lambda r: any(s in off for s in regions.servers_in(r))
         )
@@ -575,7 +788,8 @@ class FreonECPolicy(FreonPolicy):
         return None
 
     def _pick_removal_victim(self, view, active) -> Optional[int]:
-        """Lowest-capacity active server: restricted (low-weight) first."""
+        """Lowest-capacity active server ("increasing order of current
+        processing capacity"): restricted (low-weight) servers go first."""
         if len(active) == 0:
             return None
         weights = view.weights()
@@ -588,6 +802,15 @@ class FreonECPolicy(FreonPolicy):
         self.events.append(
             EcEvent(time=time, action=action, machine=machine, reason=reason)
         )
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "freon_ec_events_total", {"action": action},
+                help="Freon-EC reconfiguration decisions, by action.",
+            ).inc()
+            self.telemetry.event(
+                f"freon_ec_{action}", "freon-ec", machine=machine,
+                reason=reason,
+            )
 
     # -- checkpoint / restore ----------------------------------------------
 
@@ -603,9 +826,12 @@ class FreonECPolicy(FreonPolicy):
             "util_known": self._util_known.tolist(),
             "previous_average": self._previous_average,
             "rr_index": (
-                self._regions.rr_index if self._regions is not None
+                self.regions.rr_index if self.regions is not None
                 else (self._pending_rr or 0)
             ),
+            "events": [
+                [e.time, e.action, e.machine, e.reason] for e in self.events
+            ],
         }
         return state
 
@@ -625,17 +851,22 @@ class FreonECPolicy(FreonPolicy):
             None if previous is None
             else {str(k): float(v) for k, v in previous.items()}
         )
-        self._regions = None  # rebuilt (with emergencies) on next wake
+        self.regions = None  # rebuilt (with emergencies) on next use
         self._pending_rr = int(ec["rr_index"])
+        self.events = [
+            EcEvent(float(t), str(a), str(m), str(r))
+            for t, a, m, r in ec["events"]
+        ]
 
 
 class TraditionalControlPolicy(ControlPolicy):
-    """The traditional comparison point: shut red-lined servers down.
+    """The traditional comparison point (section 5.1): "we turned servers
+    off when the temperature of their CPUs crossed T_r".
 
-    Unified form of :class:`~repro.freon.traditional.TraditionalPolicy`:
-    machines stay dead for the rest of the run.  Failed (``NaN``) reads
-    are skipped — a blind traditional controller takes no action, which
-    is exactly its weakness under sensor faults.
+    Machines stay dead for the rest of the run; if the survivors cannot
+    carry the load, requests are dropped.  Failed (``NaN``) reads are
+    skipped — a blind traditional controller takes no action, which is
+    exactly its weakness under sensor faults.
     """
 
     name = "traditional"
@@ -679,10 +910,20 @@ class TraditionalControlPolicy(ControlPolicy):
                     break
 
     def checkpoint(self) -> Dict[str, object]:
-        return {"dead": sorted(self._dead)}
+        return {
+            "dead": sorted(self._dead),
+            "shutdowns": [
+                [s.time, s.machine, s.component, s.temperature]
+                for s in self.shutdowns
+            ],
+        }
 
     def restore(self, data: Dict[str, object]) -> None:
         self._dead = set(data["dead"])
+        self.shutdowns = [
+            Shutdown(float(t), str(m), str(c), float(temperature))
+            for t, m, c, temperature in data["shutdowns"]
+        ]
 
 
 class EmergencyPolicy(ControlPolicy):
@@ -729,10 +970,16 @@ class EmergencyPolicy(ControlPolicy):
                 self.events.append((now, "on", view.machines[i]))
 
     def checkpoint(self) -> Dict[str, object]:
-        return {"down": sorted(self._down)}
+        return {
+            "down": sorted(self._down),
+            "events": [list(e) for e in self.events],
+        }
 
     def restore(self, data: Dict[str, object]) -> None:
         self._down = {int(i) for i in data["down"]}
+        self.events = [
+            (float(t), str(action), str(m)) for t, action, m in data["events"]
+        ]
 
 
 # -- registrations -----------------------------------------------------------

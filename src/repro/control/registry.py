@@ -6,16 +6,17 @@ local DVFS — is registered here exactly once, with the set of simulation
 stacks it can run on:
 
 * ``"cluster"`` — the per-machine :class:`~repro.cluster.simulation.
-  ClusterSimulation` (real daemons, event kernel, the paper's section 5
-  experiments).  Cluster-native policies keep their daemon
-  implementations (tempd/admd/...); the registry only names them so the
-  two stacks validate against one list.
+  ClusterSimulation` (event kernel, lossy datagram channel, the paper's
+  section 5 experiments).
 * ``"scale"`` — the flattened :class:`~repro.topology.sim.
-  ScaleSimulation` (1k-10k machines on one NumPy array).  Scale-capable
-  policies provide a ``factory`` building a :class:`~repro.control.
-  policies.ControlPolicy` that acts through a :class:`~repro.control.
-  view.MachineStateView`; the same policy object runs unchanged on a
-  scalar or a vectorized view (see ``tests/control``).
+  ScaleSimulation` (1k-10k machines on one NumPy array).
+
+A policy's ``factory`` builds a :class:`~repro.control.policies.
+ControlPolicy` that acts through a :class:`~repro.control.view.
+MachineStateView`; the same policy object runs unchanged on a scalar or
+a vectorized view, so each stack builds it with :func:`build`.  Only
+``"none"`` and ``"local-dvfs"`` (per-CPU governors the cluster wires
+itself) have no factory.
 
 Look-ups go through :func:`get`; an unknown name raises
 :class:`~repro.errors.ControlError` listing every name valid for the
@@ -40,8 +41,9 @@ class PolicySpec:
 
     ``factory`` builds the stack-agnostic :class:`~repro.control.
     policies.ControlPolicy` (``factory(**kwargs)``); it is ``None`` for
-    policies that only exist as cluster-native daemons (their name is
-    still registered so both stacks share one validation list).
+    ``"none"`` and for cluster-only mechanisms the simulation wires
+    itself (their name is still registered so both stacks share one
+    validation list).
     """
 
     name: str
@@ -105,8 +107,7 @@ def build(name: str, stack: str, **kwargs) -> object:
     """Instantiate a policy's stack-agnostic implementation.
 
     ``None`` when the policy is registered for the stack but has no
-    view-driven factory (e.g. ``"none"`` — and cluster-native daemons
-    looked up for validation only).
+    view-driven factory (``"none"``, ``"local-dvfs"``).
     """
     spec = get(name, stack)
     if spec.factory is None:

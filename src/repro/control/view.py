@@ -27,7 +27,9 @@ parity harness in :mod:`repro.control.parity` proves the decisions
 match.  Failed sensor reads surface as ``NaN`` (per machine,
 atomically: if any component's read fails the whole machine's read
 fails, like tempd's one-shot reader) rather than exceptions, so
-vectorized policies can mask instead of branch.
+vectorized policies can mask instead of branch.  Datagram faults are
+not the view's business: the host routes a policy's tempd -> admd
+messages through its own channel.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None
 
 from ..errors import ControlError, SensorError
+from ..freon.regions import two_region_split
 
 #: Power-state codes a view reports (a compact int array, not an enum,
 #: so vectorized policies can compare whole columns at once).
@@ -63,6 +66,11 @@ class MachineStateView(Protocol):
 
     #: Canonical machine names, fixing the row order of every array.
     machines: Tuple[str, ...]
+    #: Whether per-machine daemons run one machine at a time: a policy
+    #: finishes one machine's reads and sends before the next machine
+    #: reads (their sensor and datagram fault draws share one RNG
+    #: stream, so the interleaving is part of the run).
+    sequential: bool
 
     def read_temperatures(
         self, components: Sequence[str], mask: Optional["np.ndarray"] = None
@@ -109,12 +117,6 @@ class MachineStateView(Protocol):
     def daemons_up(self) -> "np.ndarray":
         """Per-machine bool: is the monitoring daemon alive?"""
 
-    def has_network_faults(self) -> bool:
-        """Whether any network fault is active (fate draws consume RNG)."""
-
-    def datagram_fate(self) -> Tuple[bool, bool, float]:
-        """One policy datagram's (dropped, duplicated, delay) fate."""
-
     def set_dvfs(self, index: int, frequency: float, power: float) -> None:
         """Apply a DVFS operating point to one machine's CPU."""
 
@@ -122,21 +124,38 @@ class MachineStateView(Protocol):
 class ClusterStateView:
     """Scalar backend: a view over a live :class:`ClusterSimulation`.
 
-    Reads go through the simulation's sensor service and balancer — the
-    identical code paths the native daemons use — so a unified policy
-    driven against this view reproduces the daemon stack's decisions
-    exactly (see ``tests/control/test_cluster_view.py``).  Obtain one
-    via :meth:`ClusterSimulation.state_view`.
+    Reads go through the simulation's sensor service (alias resolution
+    plus injected sensor faults) and its balancer; power goes through
+    its drain/boot semantics.  Obtain one via
+    :meth:`ClusterSimulation.state_view`.  Anything with the same
+    attributes (``machines``, ``topology``, ``service``, ``balancer``,
+    ``webservers``, ``injector``, ``request_on``/``request_off``) can be
+    viewed the same way, e.g. one tier of a multi-tier service.
+
+    Regions are the topology's zones when a topology is configured, and
+    otherwise the section 5.2 alternating split.
     """
 
     def __init__(self, simulation) -> None:
         _require_numpy()
         self._sim = simulation
         self.machines: Tuple[str, ...] = tuple(simulation.machines)
-        self._regions = {
-            name: simulation.topology.positions[name].zone
-            for name in self.machines
-        } if simulation.topology is not None else {}
+        if simulation.topology is not None:
+            self._regions = [
+                simulation.topology.positions[name].zone
+                for name in self.machines
+            ]
+        else:
+            split = two_region_split(self.machines)
+            self._regions = [split.region_of(name) for name in self.machines]
+
+    @property
+    def sequential(self):
+        """Machine-by-machine only while a fault is active: without one,
+        reads and sends draw no randomness and log nothing, so their
+        interleaving cannot show."""
+        injector = self._sim.injector
+        return injector is not None and injector.any_active
 
     def read_temperatures(self, components, mask=None):
         sim = self._sim
@@ -215,29 +234,16 @@ class ClusterStateView:
             self._sim.request_off(name)
 
     def region_of(self, index):
-        name = self.machines[index]
-        return self._regions.get(name, f"region{index % 2}")
+        return self._regions[index]
 
     def daemons_up(self):
         injector = self._sim.injector
-        if not injector.any_active:
+        if injector is None or not injector.any_active:
             return np.ones(len(self.machines), dtype=bool)
         return np.array(
             [injector.daemon_up(name, "tempd") for name in self.machines],
             dtype=bool,
         )
-
-    def has_network_faults(self):
-        injector = self._sim.injector
-        return injector.any_active and any(
-            f.spec.is_network for f in injector.active
-        )
-
-    def datagram_fate(self):
-        injector = self._sim.injector
-        if not injector.any_active:
-            return (False, False, 0.0)
-        return injector.datagram_fate()
 
     def set_dvfs(self, index, frequency, power):
         from ..config import table1
@@ -257,6 +263,8 @@ class FlatStateView:
     semantics, identical RNG stream consumption).  Actuators write the
     simulation's vectorized allocation inputs directly.
     """
+
+    sequential = False
 
     #: Component class -> solver node, mirroring table1.sensor_map().
     _NODES: Dict[str, str] = {}
@@ -374,20 +382,6 @@ class FlatStateView:
             if daemon == "tempd" and machine in index:
                 up[index[machine]] = False
         return up
-
-    def has_network_faults(self):
-        injector = self._sim.injector
-        return (
-            injector is not None
-            and injector.any_active
-            and any(f.spec.is_network for f in injector.active)
-        )
-
-    def datagram_fate(self):
-        injector = self._sim.injector
-        if injector is None or not injector.any_active:
-            return (False, False, 0.0)
-        return injector.datagram_fate()
 
     def set_dvfs(self, index, frequency, power):
         raise ControlError(

@@ -402,7 +402,10 @@ class Solver:
         ``weight`` is the stream's volumetric flow times the edge
         fraction, which only changes when a fiddle edit touches the edge
         set (see :meth:`set_cluster_fraction`), so the whole table is
-        cached rather than recomputed every tick.
+        cached rather than recomputed every tick.  Zero-weight streams
+        carry no air and are left out, so a machine whose every incoming
+        edge is cut takes its layout inlet temperature, as one with no
+        incoming edges does.
         """
         assert self.cluster is not None
         if self._inlet_plans is None:
@@ -420,10 +423,12 @@ class Solver:
                             units.cfm_to_m3s(m.fan_cfm)
                             for m in self.cluster.machines.values()
                         )
-                    plan.append((True, edge.src, flow * fraction))
+                    is_source = True
                 else:  # recirculation from another machine's exhaust
                     flow = units.cfm_to_m3s(self.cluster.machines[edge.src].fan_cfm)
-                    plan.append((False, edge.src, flow * fraction))
+                    is_source = False
+                if flow * fraction > 0.0:
+                    plan.append((is_source, edge.src, flow * fraction))
             self._inlet_plans[machine] = plan
         return plan
 

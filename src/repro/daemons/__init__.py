@@ -1,8 +1,12 @@
-"""The Mercury/Freon daemons: monitord, tempd, and admd."""
+"""The Mercury/Freon daemons: monitord, and tempd's wire format.
 
-from .admd import Admd
+tempd and admd's logic is the Freon policy in
+:mod:`repro.control.policies`; this package keeps monitord, the
+tempd -> admd message, and its UDP transport.
+"""
+
 from .monitord import Monitord
-from .tempd import Tempd, TempdMessage
+from .tempd import TempdMessage
 from .transport import AdmdListener, TempdSender
 
-__all__ = ["Admd", "AdmdListener", "Monitord", "Tempd", "TempdMessage", "TempdSender"]
+__all__ = ["AdmdListener", "Monitord", "TempdMessage", "TempdSender"]

@@ -1,30 +1,23 @@
-"""tempd: Freon's per-server temperature daemon (paper section 4.1).
+"""tempd -> admd messages: Freon's wire format (paper section 4.1).
 
 "A Freon process, called tempd or temperature daemon, at each server
-monitors the temperature of the CPU(s) and disk(s) of the server.  Tempd
-wakes up periodically (once per minute in our experiments) to check
-component temperatures."  When any component exceeds its high threshold,
-tempd sends admd the PD-controller output; it repeats that every period
-until the component cools below the high threshold, and orders admd to
-lift all restrictions once *every* component is below its low threshold.
+monitors the temperature of the CPU(s) and disk(s) of the server."
+When a component exceeds its high threshold tempd sends admd the
+PD-controller output (ADJUST), repeats that every period until the
+component cools, and orders admd to lift all restrictions (RELEASE)
+once every component is below its low threshold; past a red line it
+reports REDLINE.  For Freon-EC, tempd "also sends utilization
+information to admd periodically" (STATUS).
 
-tempd reads temperatures through the Mercury sensor library (or any
-callable with the same shape) — on real hardware it would read physical
-sensors; the interface is identical, which is the whole point of Mercury.
-
-For Freon-EC, tempd "also sends utilization information to admd
-periodically"; enable that with a ``utilization_reader``.
+The daemon logic itself lives once, in :mod:`repro.control.policies`;
+this module keeps the datagram those policies send, which
+:mod:`repro.daemons.transport` encodes for a real UDP path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-from ..errors import SensorError
-from ..freon.controller import ControllerBank
-from ..freon.policy import FreonConfig
-from ..telemetry import ensure as _ensure_telemetry
+from typing import Dict
 
 #: Message types tempd emits.
 MSG_ADJUST = "adjust"
@@ -43,231 +36,3 @@ class TempdMessage:
     output: float = 0.0
     temperatures: Dict[str, float] = field(default_factory=dict)
     utilizations: Dict[str, float] = field(default_factory=dict)
-
-
-class Tempd:
-    """One server's temperature daemon.
-
-    Parameters
-    ----------
-    machine:
-        Server name, as known to admd and the balancer.
-    temperature_reader:
-        Callable returning {"cpu": T, "disk": T, ...} for this server.
-    send:
-        Callable delivering a :class:`TempdMessage` to admd.
-    config:
-        Thresholds, gains, and periods.
-    utilization_reader:
-        Optional callable returning component utilizations; when given,
-        a STATUS message is sent every period (Freon-EC mode).
-
-    Inside a :class:`~repro.cluster.simulation.ClusterSimulation` the
-    event kernel schedules :meth:`wake` directly on the monitor-period
-    grid — including across daemon crashes and restarts, so alignment
-    is structural rather than re-derived.  The :meth:`tick` clock is
-    for standalone use.
-    """
-
-    def __init__(
-        self,
-        machine: str,
-        temperature_reader: Callable[[], Dict[str, float]],
-        send: Callable[[TempdMessage], None],
-        config: Optional[FreonConfig] = None,
-        utilization_reader: Optional[Callable[[], Dict[str, float]]] = None,
-        telemetry=None,
-    ) -> None:
-        self.machine = machine
-        self.config = config or FreonConfig()
-        self._read_temperatures = temperature_reader
-        self._read_utilizations = utilization_reader
-        self._send = send
-        self._controllers = ControllerBank(kp=self.config.kp, kd=self.config.kd)
-        self._elapsed = 0.0
-        self.telemetry = _ensure_telemetry(telemetry)
-        labels = {"machine": machine}
-        self._tel_wakes = self.telemetry.counter(
-            "tempd_wakes_total", labels, help="tempd monitor-period wake-ups.",
-        )
-        self._tel_read_failures = self.telemetry.counter(
-            "tempd_read_failures_total", labels,
-            help="Wake-ups whose sensor read failed.",
-        )
-        self._tel_stale = self.telemetry.counter(
-            "tempd_stale_wakes_total", labels,
-            help="Failed-read wake-ups holding the last-known-good posture.",
-        )
-        self._tel_conservative = self.telemetry.counter(
-            "tempd_conservative_wakes_total", labels,
-            help="Failed-read wake-ups falling back to conservative throttling.",
-        )
-        self._tel_output = self.telemetry.gauge(
-            "tempd_pd_output", labels,
-            help="Most recent PD-controller output sent to admd.",
-        )
-        #: True while admd has restrictions in place for this server.
-        self.restricted = False
-        #: Components currently above their high threshold.
-        self.hot_components: List[str] = []
-        self.messages_sent = 0
-        #: Last successful (time, readings) pair, for sensor-failure holds.
-        self._last_good: Optional[Tuple[float, Dict[str, float]]] = None
-        #: PD output of the most recent ADJUST, held during staleness.
-        self._last_output: Optional[float] = None
-        self.read_failures = 0
-        self.stale_wakes = 0
-        self.conservative_wakes = 0
-
-    def tick(self, dt: float, now: float) -> List[TempdMessage]:
-        """Advance the daemon clock; act when a monitor period elapses."""
-        self._elapsed += dt
-        if self._elapsed + 1e-9 < self.config.monitor_period:
-            return []
-        self._elapsed = 0.0
-        return self.wake(now)
-
-    def wake(self, now: float) -> List[TempdMessage]:
-        """One wake-up: read temperatures, run the policy, send messages."""
-        self._tel_wakes.inc()
-        try:
-            temperatures = dict(self._read_temperatures())
-        except SensorError:
-            return self._wake_without_readings(now)
-        self._last_good = (now, dict(temperatures))
-        sent: List[TempdMessage] = []
-        highs = {c: self.config.high(c) for c in temperatures}
-        self.hot_components = [
-            c for c, t in temperatures.items() if t > highs[c]
-        ]
-
-        # Red-line check comes first: past T_r the server must shut down.
-        red_hot = [
-            c for c, t in temperatures.items() if t >= self.config.red(c)
-        ]
-        if red_hot:
-            sent.append(
-                TempdMessage(
-                    type=MSG_REDLINE,
-                    machine=self.machine,
-                    time=now,
-                    temperatures=temperatures,
-                )
-            )
-
-        if self.hot_components:
-            output = self._controllers.combined_output(temperatures, highs)
-            self.restricted = True
-            self._last_output = output
-            self._tel_output.set(output)
-            sent.append(
-                TempdMessage(
-                    type=MSG_ADJUST,
-                    machine=self.machine,
-                    time=now,
-                    output=output,
-                    temperatures=temperatures,
-                )
-            )
-        else:
-            # Keep derivative state fresh while below the high thresholds.
-            self._controllers.combined_output(temperatures, highs)
-            all_cool = all(
-                t < self.config.low(c) for c, t in temperatures.items()
-            )
-            if self.restricted and all_cool:
-                self.restricted = False
-                self._controllers.reset()
-                sent.append(
-                    TempdMessage(
-                        type=MSG_RELEASE,
-                        machine=self.machine,
-                        time=now,
-                        temperatures=temperatures,
-                    )
-                )
-
-        if self._read_utilizations is not None:
-            sent.append(
-                TempdMessage(
-                    type=MSG_STATUS,
-                    machine=self.machine,
-                    time=now,
-                    temperatures=temperatures,
-                    utilizations=dict(self._read_utilizations()),
-                )
-            )
-
-        self._finish_wake(sent)
-        return sent
-
-    def _finish_wake(self, sent: List[TempdMessage]) -> None:
-        for message in sent:
-            self._send(message)
-        self.messages_sent += len(sent)
-        if self.telemetry.enabled:
-            for message in sent:
-                self.telemetry.counter(
-                    "tempd_messages_total",
-                    {"machine": self.machine, "type": message.type},
-                    help="tempd messages sent to admd, by type.",
-                ).inc()
-
-    def _wake_without_readings(self, now: float) -> List[TempdMessage]:
-        """Resilience path: the sensor read failed this wake-up.
-
-        Within the staleness limit of the last good reading, hold the
-        current posture (re-assert the last PD output if restricted, do
-        nothing otherwise).  Past the limit, fail conservative: ask admd
-        to throttle this server rather than run it blind near T_h.
-        """
-        self.read_failures += 1
-        self._tel_read_failures.inc()
-        last = self._last_good
-        fresh_enough = (
-            last is not None
-            and now - last[0] <= self.config.sensor_staleness_limit + 1e-9
-        )
-        stale_temps = dict(last[1]) if last is not None else {}
-        sent: List[TempdMessage] = []
-        if fresh_enough:
-            self.stale_wakes += 1
-            self._tel_stale.inc()
-            if self.telemetry.enabled:
-                self.telemetry.event(
-                    "tempd_stale_hold", "tempd", machine=self.machine,
-                    restricted=self.restricted,
-                )
-            if self.restricted and self._last_output is not None:
-                sent.append(
-                    TempdMessage(
-                        type=MSG_ADJUST,
-                        machine=self.machine,
-                        time=now,
-                        output=self._last_output,
-                        temperatures=stale_temps,
-                    )
-                )
-        else:
-            self.conservative_wakes += 1
-            self._tel_conservative.inc()
-            if self.telemetry.enabled:
-                self.telemetry.event(
-                    "tempd_conservative_fallback", "tempd",
-                    machine=self.machine,
-                    output=self.config.conservative_output,
-                )
-            self.restricted = True
-            self._last_output = self.config.conservative_output
-            self._tel_output.set(self.config.conservative_output)
-            sent.append(
-                TempdMessage(
-                    type=MSG_ADJUST,
-                    machine=self.machine,
-                    time=now,
-                    output=self.config.conservative_output,
-                    temperatures=stale_temps,
-                )
-            )
-        self._finish_wake(sent)
-        return sent

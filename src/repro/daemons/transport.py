@@ -2,7 +2,8 @@
 
 "tempd sends a UDP message to a Freon process at the load-balancer node,
 called admd."  In-process experiments hand :class:`TempdMessage` values
-straight to ``Admd.deliver``; this module provides the wire path for
+to the Freon policy's ``deliver`` (through the simulation's lossy
+channel); this module provides the wire path for
 deployments where tempd really runs on each server: a compact JSON
 datagram encoding, a listener thread on the admd side, and a sender
 handle for the tempd side.
@@ -86,7 +87,7 @@ class TempdSender:
     """tempd's side: a ``send`` callable delivering over UDP.
 
     Pass an instance as the ``send`` argument of
-    :class:`~repro.daemons.tempd.Tempd`.
+    :meth:`repro.control.FreonPolicy.attach`.
     """
 
     def __init__(self, address: Tuple[str, int], telemetry=None) -> None:
@@ -145,7 +146,8 @@ class _AdmdHandler(socketserver.BaseRequestHandler):
 class AdmdListener:
     """admd's side: a UDP endpoint feeding ``deliver`` with messages.
 
-    ``deliver`` is typically ``Admd.deliver``; calls are serialized with
+    ``deliver`` is typically a Freon policy's ``deliver`` bound to its
+    view; calls are serialized with
     an internal lock, since the threading server may handle datagrams
     from several tempds concurrently.
     """

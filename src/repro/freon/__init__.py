@@ -1,29 +1,15 @@
-"""Freon and Freon-EC: cluster thermal-emergency management policies.
+"""Freon's building blocks: configuration, regions, and local DVFS.
 
-``AdmdEC`` is re-exported lazily: it subclasses the admd daemon, which in
-turn uses this package's policy types, so an eager import would be
-circular.
+The Freon, Freon-EC and traditional policies themselves live once, in
+:mod:`repro.control.policies`, and run on every simulation stack.
 """
 
-from .controller import ControllerBank, PDController
 from .local import DEFAULT_PSTATES, DvfsGovernor, PStateChange
 from .policy import ComponentThresholds, FreonConfig, weight_for_share_reduction
 from .regions import RegionMap, two_region_split
-from .traditional import Shutdown, TraditionalPolicy
 
 __all__ = [
-    "AdmdEC", "ComponentThresholds", "ControllerBank", "EcEvent",
-    "FreonConfig", "PDController", "RegionMap", "Shutdown",
-    "TraditionalPolicy", "two_region_split", "weight_for_share_reduction",
+    "ComponentThresholds", "FreonConfig", "RegionMap",
+    "two_region_split", "weight_for_share_reduction",
     "DEFAULT_PSTATES", "DvfsGovernor", "PStateChange",
 ]
-
-_LAZY = ("AdmdEC", "EcEvent")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import ec
-
-        return getattr(ec, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

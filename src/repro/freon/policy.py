@@ -15,7 +15,12 @@ from typing import Dict
 
 from ..config import table1
 from ..errors import ClusterError
-from .controller import DEFAULT_KD, DEFAULT_KP
+
+#: Paper values for the PD-controller gains: tempd's output for a hot
+#: component is ``max(kp (T_curr - T_h) + kd (T_curr - T_last), 0)``,
+#: and the output sent to admd is the maximum over components.
+DEFAULT_KP = 0.1
+DEFAULT_KD = 0.2
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,9 @@ flattened arrays included.
 
 from __future__ import annotations
 
+import math
 import shlex
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # NumPy is required for the flattened path; imports stay gated
@@ -70,7 +72,7 @@ from ..cluster.tracegen import (
 )
 from ..cluster.webserver import RequestMix
 from ..errors import ControlError, TopologyError
-from ..faults.injector import FaultInjector
+from ..faults.injector import FaultInjector, LossyChannel
 from ..faults.schedule import FaultSchedule, is_fault_command
 from ..telemetry import ensure as _ensure_telemetry
 from .model import Topology
@@ -78,8 +80,9 @@ from .recirculation import RecirculationOperator
 
 #: Checkpoint format version for :class:`ScaleSimulation`.  Version 2
 #: added power states, concurrency caps, boot timers, inlet-event
-#: cursors, and the policy's own state.
-CHECKPOINT_VERSION = 2
+#: cursors, and the policy's own state; version 3 grew that state by the
+#: policy's decision logs and tempd's last good readings.
+CHECKPOINT_VERSION = 3
 
 #: Boot behavior mirroring :class:`~repro.cluster.webserver.WebServer`:
 #: a booting machine burns full CPU and most of its disk for
@@ -378,6 +381,17 @@ class ScaleSimulation:
             else _build_policy(policy, "scale", config=self._control_config())
         )
         self._view: Optional[FlatStateView] = None
+        #: tempd -> admd datagram path, present when faults can strike
+        #: it.  The flat stack models loss and duplication but not delay:
+        #: every datagram lands within the wake that sent it.
+        self._channel: Optional[LossyChannel] = None
+        if self._policy is not None and self._policy.datagrams and (
+            injector is not None
+        ):
+            self._channel = LossyChannel(
+                partial(self._policy.deliver, self.state_view()), injector
+            )
+            self._policy.attach(self.state_view(), send=self._channel)
         # Zone partition for reduceat aggregation: rows sorted by zone
         # id (stable, so canonical machine order breaks ties), one
         # segment start per zone.
@@ -585,6 +599,9 @@ class ScaleSimulation:
                 wake_time = solver.time
                 self._policy.sample(view, wake_time)
                 self._policy.wake(view, wake_time)
+                if self._channel is not None:
+                    self._channel.flush(math.inf)
+                self._policy.evaluate(view, wake_time)
                 self.throttle_events = getattr(
                     self._policy, "throttle_events", self.throttle_events
                 )

@@ -54,7 +54,7 @@ class TestLocalDvfsPolicy:
     def test_governors_wired_per_machine(self):
         sim = ClusterSimulation(policy="local-dvfs")
         assert set(sim.governors) == set(sim.machines)
-        assert sim.admd is None
+        assert sim.controller is None
 
     def test_quiet_without_emergency(self):
         sim = ClusterSimulation(

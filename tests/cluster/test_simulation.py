@@ -7,6 +7,7 @@ from repro.cluster.simulation import (
     emergency_script,
 )
 from repro.cluster.tracegen import constant_trace, diurnal_trace
+from repro.cluster.webserver import PowerState
 from repro.config import table1
 from repro.errors import ClusterError
 
@@ -21,12 +22,23 @@ class TestConstruction:
             ClusterSimulation(policy="cryogenics")
 
     def test_policy_wiring(self):
-        assert ClusterSimulation(policy="none").admd is None
-        assert ClusterSimulation(policy="freon").admd is not None
-        assert ClusterSimulation(policy="traditional").traditional is not None
-        from repro.freon.ec import AdmdEC
+        from repro.control import (
+            FreonECPolicy,
+            FreonPolicy,
+            TraditionalControlPolicy,
+        )
 
-        assert isinstance(ClusterSimulation(policy="freon-ec").admd, AdmdEC)
+        assert ClusterSimulation(policy="none").controller is None
+        assert ClusterSimulation(policy="local-dvfs").controller is None
+        freon = ClusterSimulation(policy="freon")
+        assert type(freon.controller) is FreonPolicy
+        assert freon.channel is not None
+        assert isinstance(
+            ClusterSimulation(policy="freon-ec").controller, FreonECPolicy
+        )
+        traditional = ClusterSimulation(policy="traditional")
+        assert isinstance(traditional.controller, TraditionalControlPolicy)
+        assert traditional.channel is None  # no tempd -> admd traffic
 
     def test_default_trace_attached(self):
         sim = ClusterSimulation(policy="none")
@@ -99,7 +111,7 @@ class TestPowerControl:
         sim.run(10)
         sim.request_off("machine2")
         sim.run(5)
-        assert "machine2" in sim.off_servers()
+        assert sim.webservers["machine2"].state is PowerState.OFF
         record = sim.records[-1]
         assert record.servers["machine2"].state == "off"
         assert record.active_servers == 3

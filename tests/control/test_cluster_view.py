@@ -1,104 +1,21 @@
-"""The scalar backend: unified policies vs the native cluster daemons.
+"""The scalar backend: :class:`ClusterStateView` over a live cluster.
 
-The strongest claim the control-plane refactor can make on the cluster
-stack: drive a ``ClusterSimulation(policy="none")`` from the *outside*
-with a unified policy acting through :meth:`ClusterSimulation.
-state_view`, and the decisions, weights, and temperatures are
-bit-identical to the native tempd/admd daemon stack running the same
-experiment.  (The native daemons are untouched by the refactor — the
-Fig. 11/12 goldens pin that — so agreement here proves the unified
-rewrite is a faithful port, not a behavioral fork.)
+The cluster stack runs its management policy through this view, so its
+reads must be the simulation's own sensor, balancer and power paths.
+(Whole-run decisions are pinned by ``tests/golden/cluster_decisions.json``.)
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster.simulation import ClusterSimulation, emergency_script
+from repro.cluster.simulation import ClusterSimulation
 from repro.config import table1
-from repro.control import build
-from repro.freon.policy import FreonConfig
-
-
-def _drive_unified(policy_name, duration, fiddle_script):
-    """Run policy="none" with a unified policy over the state view.
-
-    The native daemons sample every ``stats_period`` (5 s) and wake
-    every ``monitor_period`` (60 s), both firing in a tick's tail — so
-    the external loop calls sample/wake right after the matching tick.
-    """
-    sim = ClusterSimulation(policy="none", fiddle_script=fiddle_script)
-    policy = build(policy_name, "cluster", config=FreonConfig())
-    view = sim.state_view()
-    config = policy.config
-    for _ in range(int(round(duration / sim.dt))):
-        sim.step()
-        t = sim.time
-        if t % config.stats_period == 0.0:
-            policy.sample(view, t)
-        if t % config.monitor_period == 0.0:
-            policy.wake(view, t)
-    return sim, policy
-
-
-def _cpu_temperatures(sim):
-    return np.array(
-        [sim.solver.temperature(m, table1.CPU) for m in sim.machines]
-    )
+from repro.freon.regions import two_region_split
 
 
 def _weights(sim):
     servers = sim.balancer.server_map
     return np.array([servers[m].weight for m in sim.machines])
-
-
-class TestUnifiedFreonMatchesNative:
-    DURATION = 1500.0  # emergencies at t=480s; adjustments from ~1020s
-
-    def test_decisions_weights_temperatures_identical(self):
-        script = emergency_script()
-        native = ClusterSimulation(policy="freon", fiddle_script=script)
-        native.run(self.DURATION)
-        unified_sim, unified = _drive_unified(
-            "freon", self.DURATION, script
-        )
-
-        admd = native.admd
-        assert len(admd.adjustments) > 0, (
-            "the emergency window never tripped Freon; the parity run "
-            "exercised nothing"
-        )
-        assert unified.adjustments == admd.adjustments
-        assert unified.releases == admd.releases
-        assert unified.redlined == admd.redlined
-        assert np.array_equal(_weights(native), _weights(unified_sim))
-        assert np.abs(
-            _cpu_temperatures(native) - _cpu_temperatures(unified_sim)
-        ).max() <= 1e-9
-
-
-class TestUnifiedFreonECMatchesNative:
-    DURATION = 600.0  # EC reconfigures from the first wake at t=60s
-
-    def test_ec_events_and_temperatures_identical(self):
-        script = emergency_script()
-        native = ClusterSimulation(policy="freon-ec", fiddle_script=script)
-        native.run(self.DURATION)
-        unified_sim, unified = _drive_unified(
-            "freon-ec", self.DURATION, script
-        )
-
-        native_events = [
-            (e.time, e.action, e.machine, e.reason)
-            for e in native.admd.events
-        ]
-        unified_events = [
-            (e.time, e.action, e.machine, e.reason) for e in unified.events
-        ]
-        assert len(native_events) > 0
-        assert unified_events == native_events
-        assert np.abs(
-            _cpu_temperatures(native) - _cpu_temperatures(unified_sim)
-        ).max() <= 1e-9
 
 
 class TestClusterStateView:
@@ -126,3 +43,11 @@ class TestClusterStateView:
         temps = view.read_temperatures(["cpu"], mask=mask)
         assert not np.isnan(temps["cpu"][0])
         assert np.isnan(temps["cpu"][1])
+
+    def test_regions_are_the_alternating_split_without_a_topology(self):
+        sim = ClusterSimulation(policy="none")
+        view = sim.state_view()
+        split = two_region_split(sim.machines)
+        assert [view.region_of(i) for i in range(len(sim.machines))] == [
+            split.region_of(name) for name in sim.machines
+        ]

@@ -143,3 +143,19 @@ def test_validation_cluster_fraction_edit_starves_a_machine():
         src: w for _, src, w in before["machine1"] if src == table1.AC
     }[table1.AC]
     assert ac_weight == pytest.approx(0.2 * old_weight)
+
+
+def test_cutting_every_incoming_edge_falls_back_to_layout_inlet():
+    """A machine with all incoming streams at fraction 0 gets no mixed air.
+
+    Its inlet takes the layout inlet temperature, exactly as for a machine
+    with no incoming edges, instead of dividing by a zero total weight.
+    """
+    solver = _solver(recirculating_cluster())
+    solver.step(20)
+    solver.set_cluster_fraction("AC", "m2", 0.0)
+    solver.set_cluster_fraction("m1", "m2", 0.0)
+    solver.step()
+    assert solver._inlet_plans["m2"] == []
+    layout = solver.cluster.machines["m2"]
+    assert solver.temperature("m2", layout.inlet) == layout.inlet_temperature

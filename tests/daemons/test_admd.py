@@ -1,9 +1,13 @@
-"""Tests for the admd admission-control daemon."""
+"""Tests for admd's behaviour: the delivery half of the Freon policy.
+
+Each test hands tempd messages to :meth:`FreonPolicy.deliver` over a
+four-machine fake view backed by a real load balancer.
+"""
 
 import pytest
 
-from repro.cluster.lvs import LoadBalancer
-from repro.daemons.admd import Admd
+from repro.cluster.simulation import ClusterSimulation
+from repro.control import FreonPolicy
 from repro.daemons.tempd import (
     MSG_ADJUST,
     MSG_REDLINE,
@@ -12,15 +16,38 @@ from repro.daemons.tempd import (
 )
 from repro.freon.policy import FreonConfig
 
-
-@pytest.fixture
-def balancer():
-    return LoadBalancer(["m1", "m2", "m3", "m4"])
+from ..control.fake_view import FakeView
 
 
 @pytest.fixture
-def admd(balancer):
-    return Admd(balancer, config=FreonConfig())
+def view():
+    return FakeView(("m1", "m2", "m3", "m4"))
+
+
+@pytest.fixture
+def balancer(view):
+    return view.balancer
+
+
+@pytest.fixture
+def admd(view):
+    policy = FreonPolicy(FreonConfig())
+    policy.attach(view)
+    return Admd(policy, view)
+
+
+class Admd:
+    """The policy's admd entry points bound to one view."""
+
+    def __init__(self, policy, view):
+        self.policy = policy
+        self.view = view
+
+    def deliver(self, message):
+        self.policy.deliver(self.view, message)
+
+    def sample(self, now):
+        self.policy.sample(self.view, now)
 
 
 def adjust(machine, output, time=60.0):
@@ -59,7 +86,7 @@ class TestAdjust:
 
     def test_adjustment_recorded(self, admd):
         admd.deliver(adjust("m1", 0.4, time=120.0))
-        assert admd.adjustments == [(120.0, "m1", 0.4)]
+        assert admd.policy.adjustments == [(120.0, "m1", 0.4)]
 
     def test_adjust_on_inactive_server_ignored(self, balancer, admd):
         balancer.quiesce("m1")
@@ -82,28 +109,30 @@ class TestRelease:
         server = balancer.server("m1")
         assert server.weight == pytest.approx(1.0)
         assert server.connection_limit is None
-        assert admd.releases == [(300.0, "m1")]
+        assert admd.policy.releases == [(300.0, "m1")]
 
 
 class TestRedline:
-    def test_redline_invokes_turn_off(self, balancer):
-        killed = []
-        admd = Admd(balancer, turn_off=killed.append)
+    def test_redline_invokes_turn_off(self, view, admd):
         admd.deliver(TempdMessage(type=MSG_REDLINE, machine="m2", time=60.0))
-        assert killed == ["m2"]
-        assert admd.redlined == [(60.0, "m2")]
+        assert view.off_requests == ["m2"]
+        assert admd.policy.redlined == [(60.0, "m2")]
 
     def test_redline_without_hook_is_recorded_only(self, admd):
+        # A host without power control (e.g. a multi-tier tier) ignores
+        # the switch; the report is still on record.
+        admd.view.set_power = lambda index, on: None
         admd.deliver(TempdMessage(type=MSG_REDLINE, machine="m2", time=60.0))
-        assert admd.redlined == [(60.0, "m2")]
+        assert admd.policy.redlined == [(60.0, "m2")]
 
 
 class TestStatsSampling:
-    def test_tick_samples_every_stats_period(self, balancer, admd):
-        balancer.server("m1").active_connections = 4.0
-        for i in range(5):
-            admd.tick(1.0, float(i))
-        assert admd.average_connections("m1") == pytest.approx(4.0)
+    def test_tick_samples_every_stats_period(self):
+        # The cluster's kernel drives sample() on the stats-period grid.
+        sim = ClusterSimulation(policy="freon")
+        sim.run(60)
+        samples = [t for t, _ in sim.controller._windows]
+        assert samples == [float(t) for t in range(5, 61, 5)]
 
     def test_window_limited_to_monitor_period(self, balancer, admd):
         # Old samples beyond the monitor period fall out of the average.
@@ -112,4 +141,5 @@ class TestStatsSampling:
         balancer.server("m1").active_connections = 10.0
         for t in range(5, 70, 5):
             admd.sample(float(t))
-        assert admd.average_connections("m1") == pytest.approx(10.0)
+        admd.deliver(adjust("m1", 0.5))
+        assert balancer.server("m1").connection_limit == pytest.approx(10.0)

@@ -5,9 +5,8 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.lvs import LoadBalancer
-from repro.daemons.admd import Admd
-from repro.daemons.tempd import MSG_ADJUST, MSG_STATUS, Tempd, TempdMessage
+from repro.control import FreonPolicy
+from repro.daemons.tempd import MSG_ADJUST, MSG_STATUS, TempdMessage
 from repro.daemons.transport import (
     MAX_MESSAGE_BYTES,
     AdmdListener,
@@ -17,6 +16,8 @@ from repro.daemons.transport import (
 )
 from repro.errors import SensorError
 from repro.freon.policy import FreonConfig
+
+from ..control.fake_view import FakeView
 
 
 def sample_message():
@@ -103,20 +104,35 @@ def _wait_for(predicate, timeout=3.0):
     return False
 
 
+class Admd:
+    """A Freon policy's admd half over a fake view of the cluster."""
+
+    def __init__(self, machines):
+        self.view = FakeView(machines)
+        self.balancer = self.view.balancer
+        self.policy = FreonPolicy(FreonConfig())
+        self.policy.attach(self.view)
+
+    def deliver(self, message):
+        self.policy.deliver(self.view, message)
+
+    @property
+    def adjustments(self):
+        return self.policy.adjustments
+
+
 class TestUdpPath:
     def test_message_reaches_admd(self):
-        balancer = LoadBalancer(["machine1", "machine2"])
-        admd = Admd(balancer, config=FreonConfig())
+        admd = Admd(("machine1", "machine2"))
         with AdmdListener(admd.deliver) as listener:
             with TempdSender(listener.address) as send:
                 send(sample_message())
                 assert _wait_for(lambda: listener.received == 1)
         assert len(admd.adjustments) == 1
-        assert balancer.server("machine1").weight < 1.0
+        assert admd.balancer.server("machine1").weight < 1.0
 
     def test_malformed_datagrams_counted_and_ignored(self):
-        balancer = LoadBalancer(["machine1"])
-        admd = Admd(balancer)
+        admd = Admd(("machine1",))
         with AdmdListener(admd.deliver) as listener:
             import socket
 
@@ -132,21 +148,18 @@ class TestUdpPath:
                 sock.close()
 
     def test_full_daemon_pair_over_udp(self):
-        # tempd (with a fake sensor) -> UDP -> admd, end to end.
-        balancer = LoadBalancer(["machine1", "machine2"])
-        admd = Admd(balancer, config=FreonConfig())
-        temps = {"cpu": 68.5, "disk": 40.0}
+        # tempd (the policy's wake over fake sensors) -> UDP -> admd (the
+        # policy's deliver on another host), end to end.
+        admd = Admd(("machine1", "machine2"))
+        servers = FakeView(("machine1", "machine2"))
+        servers.temperatures["machine1"] = {"cpu": 68.5, "disk": 40.0}
         with AdmdListener(admd.deliver) as listener:
             with TempdSender(listener.address) as send:
-                tempd = Tempd(
-                    machine="machine1",
-                    temperature_reader=lambda: dict(temps),
-                    send=send,
-                    config=FreonConfig(),
-                )
-                tempd.wake(60.0)
+                tempd = FreonPolicy(FreonConfig())
+                tempd.attach(servers, send=send)
+                tempd.wake(servers, 60.0)
                 assert _wait_for(lambda: listener.received == 1)
-        assert balancer.server("machine1").weight < 1.0
+        assert admd.balancer.server("machine1").weight < 1.0
 
     def test_double_start_rejected(self):
         listener = AdmdListener(lambda m: None)
@@ -169,8 +182,7 @@ class TestShutdownLifecycle:
     def test_start_close_close_under_traffic(self):
         # Close while the worker thread is blocked in its recv loop, then
         # close again: both must return cleanly and release the socket.
-        balancer = LoadBalancer(["machine1"])
-        admd = Admd(balancer)
+        admd = Admd(("machine1",))
         listener = AdmdListener(admd.deliver).start()
         sender = TempdSender(listener.address)
         sender(sample_message())
@@ -222,8 +234,7 @@ class TestShutdownLifecycle:
     def test_in_process_delivery_survives_udp_teardown(self):
         # The in-process transport (calling admd.deliver directly) must
         # keep working after the UDP listener for the same admd is gone.
-        balancer = LoadBalancer(["machine1", "machine2"])
-        admd = Admd(balancer, config=FreonConfig())
+        admd = Admd(("machine1", "machine2"))
         listener = AdmdListener(admd.deliver).start()
         listener.stop()
         listener.stop()

@@ -5,6 +5,9 @@ single ``random.Random(seed)``, and the deterministic cases pin fault
 probabilities to 0 or 1, so every assertion is exact.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.cluster.simulation import ClusterSimulation
@@ -196,56 +199,65 @@ class TestDaemonWatchdog:
 
 
 class TestRestartPhase:
+    @staticmethod
+    def _warm(sim, index):
+        """Give one machine's tempd in-memory state worth losing."""
+        controller = sim.controller
+        controller.restricted[index] = True
+        controller._last_T[:, index] = 68.0
+        controller._last_good[index] = 60.0
+        controller._last_output[index] = 0.1
+
     def test_restarted_tempd_stays_on_the_kernel_wake_grid(self):
         sim = ClusterSimulation(policy="freon")
         machine = sim.machines[0]
         period = sim.config.monitor_period
-        old = sim.tempds[machine]
-        old.restricted = True
-        wakes_before = [
-            e for e in sim.kernel.pending
-            if e.kind == "wake" and e.payload["machine"] == machine
-        ]
+        self._warm(sim, 0)
+        wakes_before = [e for e in sim.kernel.pending if e.kind == "wake"]
 
         sim._restart_daemon(machine, "tempd")
 
-        replacement = sim.tempds[machine]
-        assert replacement is not old
         # The wake cadence lives in the kernel, not the daemon: the same
         # grid-aligned wake event still stands after the restart.
-        wakes_after = [
-            e for e in sim.kernel.pending
-            if e.kind == "wake" and e.payload["machine"] == machine
-        ]
+        wakes_after = [e for e in sim.kernel.pending if e.kind == "wake"]
         assert wakes_after == wakes_before
         assert len(wakes_after) == 1
         assert wakes_after[0].time % period == pytest.approx(0.0)
+        controller = sim.controller
         # admd's restrictions survive the crash (handed over on reconnect).
-        assert replacement.restricted is True
-        # Controller (derivative) state did not survive.
-        assert replacement._controllers is not old._controllers
+        assert controller.restricted[0]
+        # Controller (derivative) state, the last good reading and the
+        # last ADJUST output did not survive.
+        assert np.isnan(controller._last_T[:, 0]).all()
+        assert math.isnan(controller._last_good[0])
+        assert math.isnan(controller._last_output[0])
 
     def test_restart_ignores_daemons_without_state(self):
         sim = ClusterSimulation(policy="freon")
         machine = sim.machines[0]
-        before = sim.tempds[machine]
+        self._warm(sim, 0)
         sim._restart_daemon(machine, "monitord")
-        assert sim.tempds[machine] is before
+        assert (sim.controller._last_T[:, 0] == 68.0).all()
+        assert sim.controller._last_good[0] == 60.0
 
     def test_watchdog_restart_end_to_end(self):
         injector = FaultInjector()
         sim = ClusterSimulation(policy="freon", injector=injector)
         machine = sim.machines[0]
         injector.schedule(30.0, _crash(machine, "tempd"))
-        original = sim.tempds[machine]
+        restarted = []
+        restart = sim.controller.restart
+        sim.controller.restart = lambda index: (
+            restarted.append(index), restart(index)
+        )
 
         result = sim.run(90.0)
 
         assert [(r.machine, r.daemon) for r in result.restarts] == [
             (machine, "tempd")
         ]
-        restart = result.restarts[0]
+        event = result.restarts[0]
         # Watchdog checks every 5 s and waits its 10 s restart delay.
-        assert restart.time >= 30.0 + sim.watchdog.restart_delay
-        assert sim.tempds[machine] is not original
+        assert event.time >= 30.0 + sim.watchdog.restart_delay
+        assert restarted == [0]
         assert injector.daemon_up(machine, "tempd")

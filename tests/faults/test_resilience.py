@@ -1,16 +1,17 @@
 """Resilience behaviour under injected faults.
 
-Covers tempd's last-known-good / conservative-throttle policy when its
-sensor reads fail, monitord's stall handling, and the SensorService
+Covers tempd's last-known-good / conservative-throttle policy (the
+Freon policy's tempd half) when its sensor reads fail, monitord's stall handling, and the SensorService
 fault hook (observed vs. ground-truth temperatures).
 """
 
 import pytest
 
 from repro.config import table1
+from repro.control import FreonPolicy
 from repro.core.solver import Solver
 from repro.daemons.monitord import Monitord
-from repro.daemons.tempd import MSG_ADJUST, Tempd
+from repro.daemons.tempd import MSG_ADJUST
 from repro.errors import SensorError
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultKind, FaultSpec
@@ -18,6 +19,8 @@ from repro.freon.policy import ComponentThresholds, FreonConfig
 from repro.machine.server import SimulatedServer
 from repro.machine.workloads import ConstantWorkload
 from repro.sensors.server import SensorService
+
+from ..control.fake_view import FakeView
 
 
 def make_config(**overrides):
@@ -33,121 +36,119 @@ def make_config(**overrides):
     return FreonConfig(**defaults)
 
 
-class FlakySensor:
-    """Reader that can be told to fail on demand."""
+class FlakyTempd:
+    """Machine "m1"'s tempd over a sensor that can fail on demand."""
 
-    def __init__(self, cpu=50.0, disk=40.0):
-        self.cpu = cpu
-        self.disk = disk
-        self.failing = False
+    def __init__(self):
+        self.view = FakeView(("m1",))
+        self.sensor = self.view.temperatures["m1"]
+        self.messages = []
+        self.policy = FreonPolicy(make_config())
+        self.policy.attach(self.view, send=self.messages.append)
 
-    def __call__(self):
-        if self.failing:
-            raise SensorError("injected dropout")
-        return {"cpu": self.cpu, "disk": self.disk}
+    @property
+    def failing(self):
+        return "m1" in self.view.failing
+
+    @failing.setter
+    def failing(self, value):
+        (self.view.failing.add if value else self.view.failing.discard)("m1")
+
+    def wake(self, now):
+        self.policy.wake(self.view, now)
+
+    @property
+    def restricted(self):
+        return bool(self.policy.restricted[0])
+
+    def count(self, name):
+        return int(getattr(self.policy, name)[0])
 
 
 @pytest.fixture
 def harness():
-    sensor = FlakySensor()
-    messages = []
-    daemon = Tempd(
-        machine="m1",
-        temperature_reader=sensor,
-        send=messages.append,
-        config=make_config(),
-    )
-    return sensor, messages, daemon
+    return FlakyTempd()
 
 
 class TestTempdLastKnownGood:
     def test_quiet_failure_within_limit_sends_nothing(self, harness):
-        sensor, messages, daemon = harness
-        daemon.wake(60.0)  # good read, below thresholds
-        sensor.failing = True
-        daemon.wake(120.0)
-        assert messages == []
-        assert daemon.read_failures == 1
-        assert daemon.stale_wakes == 1
-        assert not daemon.restricted
+        harness.wake(60.0)  # good read, below thresholds
+        harness.failing = True
+        harness.wake(120.0)
+        assert harness.messages == []
+        assert harness.count("read_failures") == 1
+        assert harness.count("stale_wakes") == 1
+        assert not harness.restricted
 
     def test_restricted_failure_holds_last_pd_output(self, harness):
-        sensor, messages, daemon = harness
-        sensor.cpu = 68.5
-        daemon.wake(60.0)
+        messages = harness.messages
+        harness.sensor["cpu"] = 68.5
+        harness.wake(60.0)
         assert messages[-1].type == MSG_ADJUST
         held = messages[-1].output
-        sensor.failing = True
-        daemon.wake(120.0)
+        harness.failing = True
+        harness.wake(120.0)
         assert messages[-1].type == MSG_ADJUST
         assert messages[-1].output == held
         assert messages[-1].temperatures == {"cpu": 68.5, "disk": 40.0}
-        assert daemon.restricted
-        assert daemon.stale_wakes == 1
+        assert harness.restricted
+        assert harness.count("stale_wakes") == 1
 
     def test_past_staleness_limit_fails_conservative(self, harness):
-        sensor, messages, daemon = harness
-        daemon.wake(60.0)  # last good at t=60
-        sensor.failing = True
-        daemon.wake(120.0)
-        daemon.wake(180.0)
-        daemon.wake(240.0)  # still within 180s of t=60
+        messages = harness.messages
+        harness.wake(60.0)  # last good at t=60
+        harness.failing = True
+        harness.wake(120.0)
+        harness.wake(180.0)
+        harness.wake(240.0)  # still within 180s of t=60
         assert messages == []
-        daemon.wake(300.0)  # 240s stale: past the limit
+        harness.wake(300.0)  # 240s stale: past the limit
         assert len(messages) == 1
         msg = messages[0]
         assert msg.type == MSG_ADJUST
-        assert msg.output == daemon.config.conservative_output
-        assert daemon.restricted
-        assert daemon.conservative_wakes == 1
-        assert daemon.stale_wakes == 3
+        assert msg.output == harness.policy.config.conservative_output
+        assert harness.restricted
+        assert harness.count("conservative_wakes") == 1
+        assert harness.count("stale_wakes") == 3
 
     def test_no_good_reading_ever_is_immediately_conservative(self, harness):
-        sensor, messages, daemon = harness
-        sensor.failing = True
-        daemon.wake(60.0)
+        messages = harness.messages
+        harness.failing = True
+        harness.wake(60.0)
         assert len(messages) == 1
         assert messages[0].type == MSG_ADJUST
-        assert messages[0].output == daemon.config.conservative_output
+        assert messages[0].output == harness.policy.config.conservative_output
         assert messages[0].temperatures == {}
-        assert daemon.conservative_wakes == 1
+        assert harness.count("conservative_wakes") == 1
 
     def test_recovery_resumes_normal_policy(self, harness):
-        sensor, messages, daemon = harness
-        sensor.cpu = 68.5
-        daemon.wake(60.0)
-        sensor.failing = True
-        daemon.wake(120.0)
-        sensor.failing = False
-        sensor.cpu = 50.0
-        daemon.wake(180.0)
-        daemon.wake(240.0)
+        harness.sensor["cpu"] = 68.5
+        harness.wake(60.0)
+        harness.failing = True
+        harness.wake(120.0)
+        harness.failing = False
+        harness.sensor["cpu"] = 50.0
+        harness.wake(180.0)
+        harness.wake(240.0)
         # Cooled below every low threshold: the restriction lifts.
-        assert messages[-1].type == "release"
-        assert not daemon.restricted
+        assert harness.messages[-1].type == "release"
+        assert not harness.restricted
 
-    def test_kernel_wake_events_keep_restarted_daemon_on_the_grid(self):
+    def test_kernel_wake_events_keep_restarted_daemon_on_the_grid(self, harness):
         # The event kernel owns the wake cadence: one grid-aligned wake
-        # event per machine survives a daemon restart, so a replacement
-        # daemon (built mid-period, t=1070 here) wakes on the 60 s grid
-        # without any phase bookkeeping of its own.
+        # event survives a daemon restart, so a restarted tempd (reset
+        # mid-period, t=1070 here) wakes on the 60 s grid without any
+        # phase bookkeeping of its own.
         from repro.kernel import EventKernel
 
-        sensor = FlakySensor()
         wakes = []
         kernel = EventKernel()
         kernel.clock.advance(1070.0)
-
-        daemon = Tempd(
-            machine="m1",
-            temperature_reader=sensor,
-            send=lambda m: None,
-            config=make_config(),
-        )
+        harness.policy.restart(0)
 
         def on_wake(event):
             wakes.append(event.time)
-            daemon.wake(event.time)
+            harness.wake(event.time)
             kernel.schedule(event.time + 60.0, 20, "wake")
 
         kernel.register("wake", on_wake)
@@ -155,6 +156,7 @@ class TestTempdLastKnownGood:
         while kernel.peek() is not None and kernel.peek().time < 1300.0:
             kernel.run_next()
         assert wakes == [1080.0, 1140.0, 1200.0, 1260.0]
+        assert harness.count("read_failures") == 0
 
 
 class TestMonitordStall:

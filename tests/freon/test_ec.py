@@ -1,50 +1,45 @@
-"""Tests for the Freon-EC admission daemon (Figure 10 logic)."""
+"""Tests for Freon-EC's admd side (the Figure 10 logic).
+
+Each test drives :class:`~repro.control.FreonECPolicy` over a
+four-machine fake view whose power switches act instantly.
+"""
 
 import pytest
 
-from repro.cluster.lvs import LoadBalancer
+from repro.control import FreonECPolicy
 from repro.daemons.tempd import MSG_ADJUST, MSG_RELEASE, MSG_STATUS, TempdMessage
-from repro.freon.ec import AdmdEC
-from repro.freon.regions import two_region_split
+
+from ..control.fake_view import FakeView
 
 MACHINES = ["m1", "m2", "m3", "m4"]
 
 
-class FakePower:
-    """Instant on/off power controller for unit tests."""
+class EC:
+    """A Freon-EC policy bound to one fake view."""
 
-    def __init__(self, machines, off=()):
-        self._machines = list(machines)
-        self._off = set(off)
-        self.on_requests = []
-        self.off_requests = []
+    def __init__(self, off=()):
+        self.view = FakeView(MACHINES, off=off)
+        self.policy = FreonECPolicy(util_high=0.70, util_low=0.60)
+        self.policy.attach(self.view)
 
-    def off_servers(self):
-        return [m for m in self._machines if m in self._off]
+    def deliver(self, message):
+        self.policy.deliver(self.view, message)
 
-    def active_servers(self):
-        return [m for m in self._machines if m not in self._off]
+    def evaluate(self, now):
+        self.policy.evaluate(self.view, now)
 
-    def request_on(self, name):
-        self.on_requests.append(name)
-        self._off.discard(name)
+    @property
+    def events(self):
+        return self.policy.events
 
-    def request_off(self, name):
-        self.off_requests.append(name)
-        self._off.add(name)
+    @property
+    def regions(self):
+        return self.policy.regions
 
 
 def make_ec(off=()):
-    balancer = LoadBalancer(MACHINES)
-    power = FakePower(MACHINES, off=off)
-    ec = AdmdEC(
-        balancer,
-        regions=two_region_split(MACHINES),
-        power=power,
-        util_high=0.70,
-        util_low=0.60,
-    )
-    return balancer, power, ec
+    ec = EC(off=off)
+    return ec.view.balancer, ec.view, ec
 
 
 def status(machine, cpu, disk=0.1, time=60.0):
@@ -72,7 +67,7 @@ class TestEnergyConservation:
         ec.evaluate(60.0)
         # 0.10 average: removal keeps everything far below 0.60 ->
         # shrink to min_active.
-        assert len(power.active_servers()) == 1
+        assert len(power.active()) == 1
         assert all(e.action == "off" for e in ec.events)
 
     def test_keeps_servers_under_heavy_load(self):
@@ -86,7 +81,7 @@ class TestEnergyConservation:
         feed_status(ec, cpu=0.40)
         ec.evaluate(60.0)
         # 0.40 * 4/3 = 0.533 < 0.6 (remove one); 0.533 * 3/2 = 0.8 > 0.6.
-        assert len(power.active_servers()) == 3
+        assert len(power.active()) == 3
 
     def test_grows_on_projected_load(self):
         balancer, power, ec = make_ec(off=["m4"])
@@ -109,7 +104,7 @@ class TestEnergyConservation:
         balancer, power, ec = make_ec(off=["m2", "m3", "m4"])
         feed_status(ec, cpu=0.01, machines=["m1"])
         ec.evaluate(60.0)
-        assert power.active_servers() == ["m1"]
+        assert power.active() == ["m1"]
 
     def test_events_logged_with_reason(self):
         balancer, power, ec = make_ec()

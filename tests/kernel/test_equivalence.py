@@ -24,9 +24,10 @@ from repro.cluster.simulation import (
     emergency_script,
 )
 from repro.cluster.tracegen import RequestTrace, TracePoint
-from repro.daemons.tempd import Tempd
+from repro.control import FreonPolicy
 from repro.errors import ClusterError
 from repro.freon.policy import ComponentThresholds, FreonConfig
+from repro.telemetry import Telemetry
 
 from ..golden.traces import GOLDEN_DIR, TOLERANCE
 
@@ -86,24 +87,28 @@ class TestGoldenEquivalence:
 class TestWakeGrid:
     def _wakes(self, monkeypatch, dt, duration):
         wakes = []
-        original = Tempd.wake
+        original = FreonPolicy.wake
 
-        def spy(self, now):
-            wakes.append((self.machine, now))
-            return original(self, now)
+        def spy(self, view, now):
+            wakes.append(now)
+            return original(self, view, now)
 
-        monkeypatch.setattr(Tempd, "wake", spy)
+        monkeypatch.setattr(FreonPolicy, "wake", spy)
+        telemetry = Telemetry()
         sim = ClusterSimulation(
-            policy="freon", dt=dt, trace=flat_trace(),
+            policy="freon", dt=dt, trace=flat_trace(), telemetry=telemetry,
         )
         sim.run(duration)
+        # Every machine's tempd took part in every wake.
+        for machine in sim.machines:
+            assert telemetry.registry.value(
+                "tempd_wakes_total", {"machine": machine}
+            ) == len(wakes)
         return sim, wakes
 
     def test_integer_dt_wakes_on_the_minute(self, monkeypatch):
         sim, wakes = self._wakes(monkeypatch, dt=1.0, duration=310.0)
-        times = sorted({t for _, t in wakes})
-        assert times == [60.0, 120.0, 180.0, 240.0, 300.0]
-        assert len(wakes) == 5 * len(sim.machines)
+        assert wakes == [60.0, 120.0, 180.0, 240.0, 300.0]
 
     def test_non_integer_dt_wakes_do_not_drift(self, monkeypatch):
         # Regression for the float-modulo period arithmetic: with
@@ -112,14 +117,12 @@ class TestWakeGrid:
         # further each period.  Kernel wakes are absolute-time events,
         # so every wake lands exactly on the 60 s grid.
         sim, wakes = self._wakes(monkeypatch, dt=0.3, duration=310.0)
-        times = sorted({t for _, t in wakes})
-        assert times == [60.0, 120.0, 180.0, 240.0, 300.0]
-        assert len(wakes) == 5 * len(sim.machines)
+        assert wakes == [60.0, 120.0, 180.0, 240.0, 300.0]
 
     def test_non_integer_dt_ec_evaluations_do_not_drift(self):
         sim = ClusterSimulation(policy="freon-ec", dt=0.3, trace=flat_trace())
         sim.run(190.0)
-        times = sorted({e.time for e in sim.admd.events})
+        times = sorted({e.time for e in sim.controller.events})
         assert times  # the first evaluation emits region events
         assert all(t % 60.0 == 0.0 for t in times)
 

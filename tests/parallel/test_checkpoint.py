@@ -131,6 +131,46 @@ class TestCheckpointRestore:
             == golden.kernel.checkpoint()["events"]
         )
 
+    def test_pause_mid_chaos_with_datagram_in_flight(self):
+        # Freon-EC under the chaos storm, with a 2.5 s network delay and
+        # the tempd crash moved to t=1019: paused at t=1021, machine 1's
+        # tempd is down (the watchdog restarts it at t=1030) and the
+        # t=1020 datagrams are still in flight.
+        script = "fault net delay 2.5\n" + chaos_script(crash_time=1019.0)
+
+        def build():
+            return ClusterSimulation(
+                policy="freon-ec", fiddle_script=script,
+                injector=FaultInjector(seed=11),
+            )
+
+        golden = build()
+        _run(golden, 1500)
+
+        first = build()
+        _run(first, 1021)
+        state = json.loads(json.dumps(first.checkpoint()))
+        assert state["channel"]["pending"]
+        assert [m for m, _, _ in first.injector.crashed_daemons()] == [
+            "machine1"
+        ]
+
+        second = build()
+        second.apply_checkpoint(state)
+        _run(second, 1500 - 1021)
+
+        assert _record_dicts(second) == _record_dicts(golden)
+        ours, theirs = second.result(), golden.result()
+        assert ours.ec_events == theirs.ec_events
+        assert ours.adjustments == theirs.adjustments
+        assert ours.releases == theirs.releases
+        assert ours.restarts == theirs.restarts
+        assert ours.datagram_stats == theirs.datagram_stats
+        assert len(theirs.restarts) == 1 and len(theirs.ec_events) > 0
+        assert json.dumps(second.controller.checkpoint()) == json.dumps(
+            golden.controller.checkpoint()
+        )
+
     def test_version_mismatch_rejected(self):
         simulation = _chaos_simulation()
         state = simulation.checkpoint()

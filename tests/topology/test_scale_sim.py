@@ -6,9 +6,14 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.cluster.simulation import emergency_script
 from repro.errors import TopologyError
 from repro.telemetry import Telemetry, parse_prometheus
-from repro.topology import ScaleSimulation, grid_topology
+from repro.topology import (
+    ScaleSimulation,
+    grid_topology,
+    inlet_events_from_script,
+)
 
 
 def room(n=60, zones=3):
@@ -93,6 +98,32 @@ class TestCheckpoint:
         assert sim.offered_total == clone.offered_total
         assert sim.dropped_total == clone.dropped_total
         assert sim.throttle_events == clone.throttle_events
+
+    def test_resume_keeps_decision_logs(self):
+        # Freon-EC through the t=480 emergency: the resumed controller
+        # holds the whole run's EC events, not just its own half's.
+        topo = room()
+        events = inlet_events_from_script(emergency_script())
+
+        def build():
+            return ScaleSimulation(
+                topo, duration=900.0, policy="freon-ec", inlet_events=events
+            )
+
+        whole = build()
+        whole.run(900.0)
+        first = build()
+        first.run(450.0)
+        data = json.loads(json.dumps(first.checkpoint()))
+        resumed = build()
+        resumed.restore(data)
+        resumed.run(450.0)
+        assert len(whole.controller.events) > 0
+        assert resumed.controller.events == whole.controller.events
+        assert resumed.controller.adjustments == whole.controller.adjustments
+        assert json.dumps(resumed.controller.checkpoint()) == json.dumps(
+            whole.controller.checkpoint()
+        )
 
     def test_version_gate(self):
         sim = ScaleSimulation(room(), duration=60.0)
