@@ -15,7 +15,11 @@ This benchmark gates on:
 * **Throughput** — at 1000 machines the flattened solve is at least
   ``MIN_FLAT_SPEEDUP`` times faster per tick than the per-machine loop;
 * **Scale** — 10k machines actually run (ticks/sec and memory are
-  recorded, not assumed).
+  recorded, not assumed);
+* **No control-plane cliff** — at 10k machines Freon-EC, whose first
+  wake powers off thousands of servers, keeps at least
+  ``MIN_EC_OVER_FREON`` of Freon's ticks/sec over the same room and
+  horizon.
 
 Timing methodology matches ``test_sweep_scaling``: CPU time with the
 garbage collector parked, a warmup pass, paired trials, and the minimum
@@ -23,16 +27,23 @@ across trials as the estimator, with bounded retries when interference
 pushes the ratio under the gate.
 
 Writes ``benchmark_results/BENCH_scale.json`` (ticks/sec at 1k and 10k
-machines plus the process's peak RSS) for the CI artifact.
+machines, Freon and Freon-EC ticks/sec at 10k, plus the process's peak
+RSS) for the CI artifact.
 """
 
 import gc
 import time
 
+from repro.cluster.simulation import emergency_script
 from repro.config import table1
 from repro.config.layouts import validation_machine
 from repro.core.solver import Solver
-from repro.topology import FlatSolver, grid_topology
+from repro.topology import (
+    FlatSolver,
+    ScaleSimulation,
+    grid_topology,
+    inlet_events_from_script,
+)
 
 from .conftest import emit, write_bench
 
@@ -53,10 +64,28 @@ MAX_EXTRA_TRIALS = 5
 #: the per-machine python-engine loop at 1000 machines.
 MIN_FLAT_SPEEDUP = 10.0
 
+#: Ticks of the 10k-machine policy comparison: Freon-EC's first wake
+#: (its big shrink) and 29 monitor periods after it.
+POLICY_TICKS = 120
+
+#: Required Freon-EC / Freon ticks/sec ratio at 10k machines (best of
+#: POLICY_TRIALS rooms each).
+MIN_EC_OVER_FREON = 0.5
+POLICY_TRIALS = 2
+
 #: Equivalence room: big enough to exercise zones and both edge kinds.
 EQUIV_MACHINES = 80
 EQUIV_TICKS = 40
 EQUIV_TOLERANCE = 1e-9
+
+
+#: What this module's tests have measured, written as one artifact.
+_RECORD = {}
+
+
+def _record(values):
+    _RECORD.update(values)
+    write_bench("BENCH_scale.json", _RECORD)
 
 
 def _timed(fn):
@@ -162,7 +191,7 @@ def test_scale_speedup_gate():
         "min_flat_speedup": MIN_FLAT_SPEEDUP,
         "trials": len(flat_times),
     }
-    write_bench("BENCH_scale.json", results)
+    _record(results)
 
     emit(
         "scale_throughput",
@@ -177,4 +206,46 @@ def test_scale_speedup_gate():
     assert speedup >= MIN_FLAT_SPEEDUP, (
         f"flattened solve only {speedup:.1f}x over the per-machine loop "
         f"at {SMALL} machines (gate: {MIN_FLAT_SPEEDUP:.0f}x)"
+    )
+
+
+def _policy_room(policy: str) -> ScaleSimulation:
+    return ScaleSimulation(
+        grid_topology(BIG, zones=4),
+        duration=3600.0,
+        policy=policy,
+        phase_seed=1,
+        inlet_events=inlet_events_from_script(emergency_script()),
+    )
+
+
+def test_freon_ec_keeps_pace_with_freon_at_10k():
+    """No control-plane cliff: Freon-EC's shrink is one sort, not a
+    rescan of the room per powered-off server."""
+    best = {"freon": 0.0, "freon-ec": 0.0}
+    for _ in range(POLICY_TRIALS):
+        for policy in best:
+            room = _policy_room(policy)
+            elapsed, _ = _timed(lambda: room.step(POLICY_TICKS))
+            best[policy] = max(best[policy], POLICY_TICKS / elapsed)
+            del room
+    ratio = best["freon-ec"] / best["freon"]
+    _record({
+        "freon_ticks_per_sec_10k": best["freon"],
+        "freon_ec_ticks_per_sec_10k": best["freon-ec"],
+        "freon_ec_over_freon_10k": ratio,
+        "min_ec_over_freon": MIN_EC_OVER_FREON,
+    })
+    emit(
+        "scale_policies",
+        f"Policies at {BIG} machines, {POLICY_TICKS} ticks (best of "
+        f"{POLICY_TRIALS})\n"
+        f"{'policy':>10} {'ticks/s':>10}\n"
+        f"{'freon':>10} {best['freon']:>10.1f}\n"
+        f"{'freon-ec':>10} {best['freon-ec']:>10.1f}\n"
+        f"Freon-EC / Freon: {ratio:.2f}\n",
+    )
+    assert ratio >= MIN_EC_OVER_FREON, (
+        f"Freon-EC runs at {ratio:.2f}x Freon's ticks/s at {BIG} machines "
+        f"(gate: {MIN_EC_OVER_FREON}x)"
     )

@@ -71,7 +71,7 @@ from .registry import PolicySpec, register
 from .view import POWER_ACTIVE, POWER_OFF, MachineStateView
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EcEvent:
     """One Freon-EC reconfiguration decision, for experiment records."""
 
@@ -81,7 +81,7 @@ class EcEvent:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shutdown:
     """One traditional red-line shutdown, for experiment records."""
 
@@ -95,13 +95,15 @@ def _ordered_sum(values) -> float:
     """Left-fold sum in iteration order, matching builtin ``sum()``.
 
     Reproducing float totals exactly requires the association order of
-    a ``sum()`` over insertion-ordered dicts, which ``np.sum`` does not
-    guarantee.
+    a ``sum()`` over insertion-ordered dicts, which ``np.sum`` (pairwise)
+    does not guarantee; ``np.add.accumulate`` is a sequential left fold.
+    It starts from the first value rather than ``0.0``, which differs
+    only in the sign of an all-``-0.0`` total; adding ``0.0`` fixes it.
     """
-    total = 0.0
-    for value in values:
-        total += float(value)
-    return total
+    values = np.asarray(values, dtype=float)
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
 
 
 class ControlPolicy:
@@ -374,17 +376,32 @@ class FreonPolicy(ControlPolicy):
         # Per-machine message order: REDLINE, then ADJUST or RELEASE,
         # then STATUS.
         send_adjust = adjust | stale_hold | conservative
+        acting = red | send_adjust | release
         status = ok if self._ec_mode else np.zeros_like(ok)
-        for i in np.flatnonzero(red | send_adjust | release | status):
-            i = int(i)
-            if red[i]:
-                self._post(view, now, MSG_REDLINE, i)
-            if send_adjust[i]:
-                self._post(
-                    view, now, MSG_ADJUST, i, float(message_output[i])
+        if self._send is None and not self.telemetry.enabled:
+            # Handled in place and unobserved, a STATUS only overwrites
+            # its own machine's row, so the rows between two acting
+            # machines are stored in one go.  An acting machine's STATUS
+            # joins the next run: it lands after its own ADJUST/RELEASE
+            # and before the next acting machine's messages.
+            rows = np.flatnonzero(status)
+            actors = np.flatnonzero(acting)
+            start = 0
+            for i, cut in zip(
+                actors.tolist(), np.searchsorted(rows, actors).tolist()
+            ):
+                self._store_status(rows[start:cut], utilizations)
+                start = cut
+                self._post_actions(
+                    view, now, i, red, send_adjust, release, message_output
                 )
-            elif release[i]:
-                self._post(view, now, MSG_RELEASE, i)
+            self._store_status(rows[start:], utilizations)
+            return
+        for i in np.flatnonzero(acting | status):
+            i = int(i)
+            self._post_actions(
+                view, now, i, red, send_adjust, release, message_output
+            )
             if status[i]:
                 self._post(
                     view, now, MSG_STATUS, i,
@@ -392,6 +409,16 @@ class FreonPolicy(ControlPolicy):
                         c: float(utilizations[c][i]) for c in self.classes
                     },
                 )
+
+    def _post_actions(self, view, now, i, red, send_adjust, release,
+                      message_output) -> None:
+        """Machine ``i``'s REDLINE, then its ADJUST or RELEASE."""
+        if red[i]:
+            self._post(view, now, MSG_REDLINE, i)
+        if send_adjust[i]:
+            self._post(view, now, MSG_ADJUST, i, float(message_output[i]))
+        elif release[i]:
+            self._post(view, now, MSG_RELEASE, i)
 
     def _publish_wake(self, view, awake, failed, fresh, set_output,
                       message_output) -> None:
@@ -512,6 +539,10 @@ class FreonPolicy(ControlPolicy):
     def _on_status(self, i, utilizations) -> None:
         """Base Freon ignores STATUS; Freon-EC overrides this."""
 
+    def _store_status(self, rows, utilizations) -> None:
+        """STATUS for every machine in ``rows`` at once (the in-place
+        path); base Freon ignores STATUS."""
+
     def _publish_weight(self, machine: str, weight: float) -> None:
         self.telemetry.gauge(
             "freon_weight", {"machine": machine},
@@ -625,6 +656,20 @@ class FreonECPolicy(FreonPolicy):
         self.regions = RegionMap({
             name: view.region_of(i) for i, name in enumerate(view.machines)
         })
+        #: Per region: member rows sorted by name.
+        self._region_rows = {
+            region: np.array(
+                [self._row[name] for name in self.regions.servers_in(region)],
+                dtype=np.intp,
+            )
+            for region in self.regions.regions
+        }
+        #: Each row's position in name order (names are not zero-padded,
+        #: so this is not the row order): the victim tie-break.
+        self._name_rank = np.empty(self._n, dtype=np.intp)
+        self._name_rank[
+            sorted(range(self._n), key=view.machines.__getitem__)
+        ] = np.arange(self._n)
         # Region emergency counts are derivable from the sticky hot set
         # (one note per newly-hot machine, one clear per release).
         for name, hot in self._hot.items():
@@ -640,6 +685,11 @@ class FreonECPolicy(FreonPolicy):
         for c in self.classes:
             self._util_store[c][i] = utilizations[c]
         self._util_known[i] = True
+
+    def _store_status(self, rows, utilizations) -> None:
+        for c in self.classes:
+            self._util_store[c][rows] = utilizations[c][rows]
+        self._util_known[rows] = True
 
     def _on_adjust(self, view, now, i, output) -> None:
         machine = view.machines[i]
@@ -707,22 +757,29 @@ class FreonECPolicy(FreonPolicy):
                           f"projected util {max(projected.values()):.2f} > "
                           f"{self.util_high:.2f}")
 
-        # Shrink while the remaining servers would stay under U_l.
-        while True:
-            active = np.flatnonzero(view.power_states() == POWER_ACTIVE)
-            if len(active) <= self.min_active:
-                break
-            if not self._can_remove(average, len(active)):
-                break
-            victim = self._pick_removal_victim(view, active)
-            if victim is None:
-                break
+        # Shrink while the remaining servers would stay under U_l.  Count
+        # the removals first, recomputing the average as if the load
+        # spread over one fewer server each time, so "as many as
+        # possible" stops at the right count.
+        active = np.flatnonzero(view.power_states() == POWER_ACTIVE)
+        count = len(active)
+        while count > max(self.min_active, 0) and self._can_remove(
+            average, count
+        ):
+            scale = count / max(count - 1, 1)
+            average = {c: u * scale for c, u in average.items()}
+            count -= 1
+        removals = len(active) - count
+        if not removals:
+            return
+        # Victims in increasing order of current processing capacity
+        # (restricted, low-weight servers first), ties by name.  Powering
+        # off touches no weight and takes each victim out of the active
+        # set exactly once, so one sort yields the one-at-a-time order.
+        order = np.lexsort((self._name_rank[active], view.weights()[active]))
+        for victim in active[order[:removals]].tolist():
             view.set_power(victim, False)
             self._log(now, "off", view.machines[victim], "energy conservation")
-            # Recompute the average as if the load spread over one fewer
-            # server, so "as many as possible" stops at the right count.
-            scale = len(active) / max(len(active) - 1, 1)
-            average = {c: u * scale for c, u in average.items()}
 
     # -- arithmetic helpers --------------------------------------------------
 
@@ -769,34 +826,17 @@ class FreonECPolicy(FreonPolicy):
         return all(u * scale < self.util_low for u in average.values())
 
     def _pick_off_server(self, view) -> Optional[int]:
-        """Round-robin region pick of a powered-off server (row index)."""
-        power = view.power_states()
-        off = {
-            view.machines[int(j)] for j in np.flatnonzero(power == POWER_OFF)
-        }
-        if not off:
+        """Round-robin region pick of a powered-off server (row index):
+        the region's first powered-off server by name."""
+        off = view.power_states() == POWER_OFF
+        if not off.any():
             return None
-        regions = self.regions
-        region = regions.pick_region(
-            lambda r: any(s in off for s in regions.servers_in(r))
-        )
+        members = self._region_rows
+        region = self.regions.pick_region(lambda r: off[members[r]].any())
         if region is None:
             return None
-        for server in regions.servers_in(region):
-            if server in off:
-                return self._row[server]
-        return None
-
-    def _pick_removal_victim(self, view, active) -> Optional[int]:
-        """Lowest-capacity active server ("increasing order of current
-        processing capacity"): restricted (low-weight) servers go first."""
-        if len(active) == 0:
-            return None
-        weights = view.weights()
-        return int(min(
-            active,
-            key=lambda j: (float(weights[int(j)]), view.machines[int(j)]),
-        ))
+        rows = members[region]
+        return int(rows[np.argmax(off[rows])])
 
     def _log(self, time: float, action: str, machine: str, reason: str) -> None:
         self.events.append(

@@ -284,7 +284,10 @@ class _Group:
         bitwise copy of the template's values, and no per-row
         :class:`~repro.core.state.MachineState` objects (or their dict
         write-backs) exist at all.  ``names``/``states`` are left empty
-        on purpose — callers that tile own the row bookkeeping.
+        on purpose — callers that tile own the row bookkeeping.  ``k``,
+        ``fractions`` and ``fan`` stay the template's single row, which
+        broadcasts over every machine: tiled groups never edit them per
+        row.
         """
         if count <= 0:
             raise SolverError("from_template needs a positive row count")
@@ -292,9 +295,6 @@ class _Group:
         g.names = []
         g.states = []
         g.T = np.repeat(g.T, count, axis=0)
-        g.k = np.repeat(g.k, count, axis=0)
-        g.fractions = np.repeat(g.fractions, count, axis=0)
-        g.fan = np.repeat(g.fan, count)
         g.factor = np.repeat(g.factor, count, axis=0)
         g.util = np.repeat(g.util, count, axis=0)
         g.flows = np.zeros((count, plan.n_air))

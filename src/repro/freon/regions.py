@@ -25,6 +25,12 @@ class RegionMap:
             raise ClusterError("region map needs at least one server")
         self._region_of: Dict[str, str] = dict(assignment)
         self._regions: List[str] = sorted(set(assignment.values()))
+        #: Members of each region, sorted by name.
+        self._members: Dict[str, List[str]] = {
+            region: [] for region in self._regions
+        }
+        for server in sorted(self._region_of):
+            self._members[self._region_of[server]].append(server)
         self._emergencies: Dict[str, int] = {region: 0 for region in self._regions}
         self._rr_index = 0
 
@@ -51,7 +57,7 @@ class RegionMap:
 
     def servers_in(self, region: str) -> List[str]:
         """Servers assigned to a region, sorted by name."""
-        return sorted(s for s, r in self._region_of.items() if r == region)
+        return list(self._members.get(region, ()))
 
     # -- emergency accounting ("increment/decrement count of emergencies
     #    in region", Figure 10) ------------------------------------------

@@ -41,7 +41,7 @@ from ..errors import TopologyError
 _SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zone:
     """One cooling zone: a named cold-aisle supply."""
 
@@ -49,7 +49,7 @@ class Zone:
     supply_temperature: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """Grid coordinates of one machine: zone name, rack, slot-in-rack."""
 
@@ -58,7 +58,7 @@ class Position:
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecirculationEdge:
     """``weight`` of ``src``'s exhaust entering ``dst``'s inlet mix."""
 
@@ -109,22 +109,22 @@ class Topology:
                 raise TopologyError(
                     f"machine {name!r} placed in unknown zone {pos.zone!r}"
                 )
-        taken: Dict[Tuple[str, int, int], str] = {}
+        taken: Dict[Position, str] = {}
         for name in self.machines:
             pos = self.positions[name]
-            key = (pos.zone, pos.rack, pos.slot)
-            if key in taken:
+            if pos in taken:
                 raise TopologyError(
-                    f"machines {taken[key]!r} and {name!r} share grid "
-                    f"position {key}"
+                    f"machines {taken[pos]!r} and {name!r} share grid "
+                    f"position {(pos.zone, pos.rack, pos.slot)}"
                 )
-            taken[key] = name
+            taken[pos] = name
         self.recirculation: Tuple[RecirculationEdge, ...] = tuple(recirculation)
-        known = set(self.machines)
+        row = {name: i for i, name in enumerate(self.machines)}
+        n = len(self.machines)
         incoming: Dict[str, float] = {name: 0.0 for name in self.machines}
         seen_pairs = set()
         for edge in self.recirculation:
-            if edge.src not in known or edge.dst not in known:
+            if edge.src not in row or edge.dst not in row:
                 raise TopologyError(
                     f"recirculation edge {edge.src!r}->{edge.dst!r} names "
                     "an unknown machine"
@@ -133,11 +133,12 @@ class Topology:
                 raise TopologyError(
                     f"machine {edge.src!r} cannot recirculate into itself"
                 )
-            if (edge.src, edge.dst) in seen_pairs:
+            pair = row[edge.src] * n + row[edge.dst]
+            if pair in seen_pairs:
                 raise TopologyError(
                     f"duplicate recirculation edge {edge.src!r}->{edge.dst!r}"
                 )
-            seen_pairs.add((edge.src, edge.dst))
+            seen_pairs.add(pair)
             if edge.weight < 0.0:
                 raise TopologyError("recirculation weights must be >= 0")
             incoming[edge.dst] += edge.weight

@@ -25,13 +25,16 @@ equality.
 Fiddle edits are supported live: :meth:`set_supply` overrides a zone's
 cold-aisle temperature (an AC failure), :meth:`set_weight` changes one
 recirculation edge (a containment-curtain change).  Both invalidate the
-compiled tables, which are rebuilt lazily.  All mutable state round
-trips through :meth:`checkpoint` / :meth:`restore` as plain JSON data.
+compiled tables, which are rebuilt lazily.  The scalar tables and the
+editable weight table are only built once something asks for them, so a
+room that only takes the vectorized path never holds them.  All mutable
+state round trips through :meth:`checkpoint` / :meth:`restore` as plain
+JSON data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 try:  # NumPy is optional: the scalar path must work without it
     import numpy as np
@@ -51,15 +54,14 @@ class RecirculationOperator:
         self.index: Dict[str, int] = {
             name: i for i, name in enumerate(self.names)
         }
-        #: Live edge weights, editable through :meth:`set_weight`.
-        self._weights: Dict[Tuple[str, str], float] = {
-            (e.src, e.dst): e.weight for e in topology.recirculation
-        }
+        #: Live edge weights keyed by (src, dst), built on the first
+        #: edit, weight lookup or checkpoint (None: the topology's own).
+        self._weights: Optional[Dict[Tuple[str, str], float]] = None
         #: Zone supply-temperature overrides (fiddle ``cluster zone``).
         self._supply_overrides: Dict[str, float] = {}
-        # Compiled tables, rebuilt lazily after an edit.
-        self._dirty = True
-        self._supply_frac: List[float] = []
+        # Compiled tables, rebuilt lazily after an edit: the scalar ones
+        # on the first inlet(), the NumPy ones on the first inlets_array().
+        self._supply_frac: Optional[List[float]] = None
         self._supply_temp: List[float] = []
         #: Per machine: incoming (src name, weight) terms in edge order.
         self._terms: List[List[Tuple[str, float]]] = []
@@ -69,6 +71,18 @@ class RecirculationOperator:
         self._supply_arr = None
         self._frac_arr = None
 
+    def _edge_weights(self) -> Dict[Tuple[str, str], float]:
+        """The live (src, dst) -> weight table, built on first use."""
+        if self._weights is None:
+            self._weights = {
+                (e.src, e.dst): e.weight for e in self.topology.recirculation
+            }
+        return self._weights
+
+    def _invalidate(self) -> None:
+        self._supply_frac = None
+        self._rows = None
+
     # -- edits -----------------------------------------------------------
 
     def set_supply(self, zone: str, value: float) -> None:
@@ -76,7 +90,7 @@ class RecirculationOperator:
         if zone not in self.topology.zones:
             raise TopologyError(f"unknown zone {zone!r}")
         self._supply_overrides[zone] = float(value)
-        self._dirty = True
+        self._invalidate()
 
     def set_weight(self, src: str, dst: str, value: float) -> None:
         """Change one recirculation edge's weight.
@@ -84,22 +98,23 @@ class RecirculationOperator:
         The edge must exist in the topology; the new per-destination
         weight sum must stay convex (<= 1).
         """
-        if (src, dst) not in self._weights:
+        weights = self._edge_weights()
+        if (src, dst) not in weights:
             raise TopologyError(
                 f"no recirculation edge {src!r}->{dst!r} in the topology"
             )
         if value < 0.0:
             raise TopologyError("recirculation weights must be >= 0")
         total = value + sum(
-            w for (s, d), w in self._weights.items()
+            w for (s, d), w in weights.items()
             if d == dst and (s, d) != (src, dst)
         )
         if total > 1.0 + _SUM_TOLERANCE:
             raise TopologyError(
                 f"incoming weights of {dst!r} would sum to {total:.4f} > 1"
             )
-        self._weights[(src, dst)] = float(value)
-        self._dirty = True
+        weights[(src, dst)] = float(value)
+        self._invalidate()
 
     def supply_temperature(self, zone: str) -> float:
         """Current (possibly overridden) supply temperature of a zone."""
@@ -112,7 +127,7 @@ class RecirculationOperator:
     def weight(self, src: str, dst: str) -> float:
         """Current weight of one recirculation edge."""
         try:
-            return self._weights[(src, dst)]
+            return self._edge_weights()[(src, dst)]
         except KeyError:
             raise TopologyError(
                 f"no recirculation edge {src!r}->{dst!r} in the topology"
@@ -120,42 +135,57 @@ class RecirculationOperator:
 
     # -- compilation -----------------------------------------------------
 
-    def _compile(self) -> None:
-        topo = self.topology
+    def _current_weights(self) -> Iterator[float]:
+        """Current weight of every edge, in topology edge order."""
+        edges = self.topology.recirculation
+        if self._weights is None:
+            return (e.weight for e in edges)
+        weights = self._weights
+        return (weights[(e.src, e.dst)] for e in edges)
+
+    def _machine_supply(self) -> List[float]:
+        positions = self.topology.positions
+        return [
+            self.supply_temperature(positions[name].zone)
+            for name in self.names
+        ]
+
+    def _compile_scalar(self) -> None:
         n = len(self.names)
         terms: List[List[Tuple[str, float]]] = [[] for _ in range(n)]
         incoming = [0.0] * n
-        rows: List[int] = []
-        cols: List[int] = []
-        weights: List[float] = []
-        for edge in topo.recirculation:
-            w = self._weights[(edge.src, edge.dst)]
+        for edge, w in zip(self.topology.recirculation, self._current_weights()):
             dst_i = self.index[edge.dst]
             terms[dst_i].append((edge.src, w))
             incoming[dst_i] += w
-            rows.append(dst_i)
-            cols.append(self.index[edge.src])
-            weights.append(w)
         self._terms = terms
+        self._supply_temp = self._machine_supply()
         self._supply_frac = [1.0 - total for total in incoming]
-        self._supply_temp = [
-            self.supply_temperature(topo.positions[name].zone)
-            for name in self.names
-        ]
-        if np is not None:
-            self._rows = np.array(rows, dtype=np.intp)
-            self._cols = np.array(cols, dtype=np.intp)
-            self._w = np.array(weights, dtype=float)
-            self._supply_arr = np.array(self._supply_temp, dtype=float)
-            self._frac_arr = np.array(self._supply_frac, dtype=float)
-        self._dirty = False
+
+    def _compile_arrays(self) -> None:
+        edges = self.topology.recirculation
+        index = self.index
+        count = len(edges)
+        self._rows = np.fromiter(
+            (index[e.dst] for e in edges), dtype=np.intp, count=count
+        )
+        self._cols = np.fromiter(
+            (index[e.src] for e in edges), dtype=np.intp, count=count
+        )
+        self._w = np.fromiter(self._current_weights(), dtype=float, count=count)
+        # np.add.at accumulates unbuffered in edge order: the scalar
+        # path's per-destination left fold.
+        incoming = np.zeros(len(self.names))
+        np.add.at(incoming, self._rows, self._w)
+        self._frac_arr = 1.0 - incoming
+        self._supply_arr = np.array(self._machine_supply(), dtype=float)
 
     # -- evaluation ------------------------------------------------------
 
     def inlet(self, machine: str, prev_exhaust: Mapping[str, float]) -> float:
         """Scalar inlet temperature of one machine for this tick."""
-        if self._dirty:
-            self._compile()
+        if self._supply_frac is None:
+            self._compile_scalar()
         i = self.index[machine]
         total = self._supply_frac[i] * self._supply_temp[i]
         for src, w in self._terms[i]:
@@ -174,8 +204,8 @@ class RecirculationOperator:
             raise TopologyError(
                 "the vectorized recirculation path requires NumPy"
             )
-        if self._dirty:
-            self._compile()
+        if self._rows is None:
+            self._compile_arrays()
         out = self._frac_arr * self._supply_arr
         if len(self._rows):
             np.add.at(out, self._rows, self._w * prev_exhaust[self._cols])
@@ -188,7 +218,8 @@ class RecirculationOperator:
         return {
             "supply_overrides": dict(self._supply_overrides),
             "weights": {
-                f"{src}|{dst}": w for (src, dst), w in self._weights.items()
+                f"{src}|{dst}": w
+                for (src, dst), w in self._edge_weights().items()
             },
         }
 
@@ -201,23 +232,24 @@ class RecirculationOperator:
         for zone in overrides:
             if zone not in self.topology.zones:
                 raise TopologyError(f"unknown zone {zone!r} in checkpoint")
+        known = self._edge_weights()
         weights: Dict[Tuple[str, str], float] = {}
         for key, w in data["weights"].items():
             src, dst = key.split("|")
-            if (src, dst) not in self._weights:
+            if (src, dst) not in known:
                 raise TopologyError(
                     f"unknown recirculation edge {src!r}->{dst!r} "
                     "in checkpoint"
                 )
             weights[(src, dst)] = float(w)
-        if set(weights) != set(self._weights):
+        if set(weights) != set(known):
             raise TopologyError("checkpoint weight set does not match topology")
         self._supply_overrides = overrides
         self._weights = weights
-        self._dirty = True
+        self._invalidate()
 
     def __repr__(self) -> str:
         return (
             f"RecirculationOperator({len(self.names)} machines, "
-            f"{len(self._weights)} edges)"
+            f"{len(self.topology.recirculation)} edges)"
         )
