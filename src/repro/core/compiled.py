@@ -434,10 +434,6 @@ class CompiledEngine:
     derived flow arrays when needed) without per-tick polling.
     """
 
-    #: The solver computes per-machine inlet temperatures and passes them
-    #: to :meth:`tick`; an engine that derives inlets itself (the sweep
-    #: batch engine) overrides this.
-    provides_inlets = False
     #: Whether the solver should time this engine's ticks into the
     #: ``solver_tick_seconds`` histogram (a host metric excluded from
     #: sweep artifacts; batch members skip the measurement entirely).
@@ -488,14 +484,22 @@ class CompiledEngine:
     # -- stepping --------------------------------------------------------
 
     def tick(self, inlet_temps: Mapping[str, float]) -> None:
-        """Advance every machine one step and write temperatures back."""
+        """Advance every machine one step and write temperatures back.
+
+        Like every engine, it records each machine's new exhaust in the
+        solver's ``_prev_exhaust`` for the next tick's inlet traversal.
+        """
+        prev_exhaust = self._solver._prev_exhaust
         for group in self.groups:
             inlet = np.array([inlet_temps[name] for name in group.names])
             self._tick_group(group, inlet)
-            for row, state in enumerate(group.states):
-                state.temperatures.update(
-                    zip(group.plan.node_names, group.T[row].tolist())
-                )
+            plan = group.plan
+            exhaust = plan.n_comps + plan.exhaust_air
+            for name, state, values in zip(
+                group.names, group.states, group.T.tolist()
+            ):
+                state.temperatures.update(zip(plan.node_names, values))
+                prev_exhaust[name] = values[exhaust]
 
     def _tick_group(self, g: _Group, inlet) -> None:
         solver = self._solver

@@ -128,10 +128,18 @@ def mix_streams(temperatures: "list[float]", weights: "list[float]") -> float:
     and computes "a weighted average of the incoming-edge air temperatures
     and fractions".  ``weights`` are the heat-capacity rates (or any
     proportional quantity, e.g. volumetric flows) of the incoming streams.
+
+    Both sums are explicit left folds from zero: builtin ``sum()`` over
+    floats is compensated from Python 3.12 on, which would make the
+    result depend on the interpreter.
     """
     if len(temperatures) != len(weights):
         raise ValueError("temperatures and weights must have the same length")
-    total = sum(weights)
+    num = 0.0
+    total = 0.0
+    for t, w in zip(temperatures, weights):
+        num += t * w
+        total += w
     if total <= 0.0:
         raise ValueError("total mixing weight must be positive")
-    return sum(t * w for t, w in zip(temperatures, weights)) / total
+    return num / total

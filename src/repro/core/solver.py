@@ -356,17 +356,9 @@ class Solver:
         measure = self.telemetry.enabled and impl.measure_host_latency
         if measure:
             tick_start = _time.perf_counter()
-        if impl.provides_inlets:
-            # The engine (the sweep batch pool) derives inlets itself and
-            # maintains _prev_exhaust when it actually computes the tick.
-            impl.tick(None)
-        else:
-            inlet_temps = self._inter_machine_traversal()
-            impl.tick(inlet_temps)
-            for name, state in self.machines.items():
-                self._prev_exhaust[name] = state.temperatures[
-                    state.layout.exhaust
-                ]
+        # The engine writes _prev_exhaust once it has computed the
+        # temperatures (the sweep batch pool defers that to its flush).
+        impl.tick(self._inter_machine_traversal())
         self.time += self.dt
         self.iterations += 1
         if self.telemetry.enabled:
@@ -419,10 +411,11 @@ class Solver:
                     source = self.cluster.sources[edge.src]
                     flow = source.flow_m3s
                     if flow is None:
-                        flow = sum(
-                            units.cfm_to_m3s(m.fan_cfm)
-                            for m in self.cluster.machines.values()
-                        )
+                        # A left fold, like mix_streams: builtin sum()
+                        # is compensated from Python 3.12 on.
+                        flow = 0.0
+                        for m in self.cluster.machines.values():
+                            flow += units.cfm_to_m3s(m.fan_cfm)
                     is_source = True
                 else:  # recirculation from another machine's exhaust
                     flow = units.cfm_to_m3s(self.cluster.machines[edge.src].fan_cfm)
@@ -433,21 +426,28 @@ class Solver:
         return plan
 
     def _cluster_inlet(self, machine: str) -> float:
-        """Perfect-mixing inlet temperature from the cluster air graph."""
+        """Perfect-mixing inlet temperature from the cluster air graph.
+
+        Folds the cached plan in plan order exactly as
+        :func:`physics.mix_streams` does, without building its lists.
+        """
         assert self.cluster is not None
-        temps: List[float] = []
-        weights: List[float] = []
-        for is_source, src, weight in self._inlet_plan(machine):
+        plan = self._inlet_plan(machine)
+        if not plan:
+            return self.machines[machine].layout.inlet_temperature
+        sources = self.cluster.sources
+        num = 0.0
+        den = 0.0
+        for is_source, src, weight in plan:
             if is_source:
-                source = self.cluster.sources[src]
-                temp = self._source_overrides.get(src, source.supply_temperature)
+                temp = self._source_overrides.get(
+                    src, sources[src].supply_temperature
+                )
             else:
                 temp = self._prev_exhaust[src]
-            temps.append(temp)
-            weights.append(weight)
-        if not temps:
-            return self.machines[machine].layout.inlet_temperature
-        return physics.mix_streams(temps, weights)
+            num += temp * weight
+            den += weight
+        return num / den
 
     def _machine_tick(self, state: MachineState, inlet_temperature: float) -> None:
         layout = state.layout
@@ -648,7 +648,6 @@ class _PythonEngine:
     """The reference engine: per-machine dict-loop traversals."""
 
     #: See :class:`repro.core.compiled.CompiledEngine` for the contract.
-    provides_inlets = False
     measure_host_latency = True
 
     def __init__(self, solver: Solver) -> None:
@@ -658,3 +657,4 @@ class _PythonEngine:
         solver = self._solver
         for name, state in solver.machines.items():
             solver._machine_tick(state, inlet_temps[name])
+            solver._prev_exhaust[name] = state.temperatures[state.layout.exhaust]

@@ -188,6 +188,16 @@ class TestMixStreams:
         with pytest.raises(ValueError):
             physics.mix_streams([1.0], [0.0])
 
+    def test_sums_are_naive_left_folds(self):
+        # A compensated sum (builtin sum() from Python 3.12 on) keeps
+        # the 1.0 and yields 1/3; the naive fold loses it to 1e16.
+        temps = [1e16, 1.0, -1e16]
+        num = 0.0
+        for t in temps:
+            num += t * 1.0
+        assert num == 0.0
+        assert physics.mix_streams(temps, [1.0, 1.0, 1.0]) == num / 3.0
+
     @given(
         temps=st.lists(finite, min_size=1, max_size=8),
         data=st.data(),

@@ -6,9 +6,10 @@ any individual run — not a single bit of any record, summary, or
 telemetry family.  Hypothesis is not installed in this environment, so
 this is a seeded-``random.Random`` harness in the same spirit: each
 case derives a randomized grid (policy, scenario, thresholds, cluster
-size, fault seed, loss rate, checkpoint cadence) from its case seed,
-runs it through both the batched lockstep runner and the sequential
-per-run path, and asserts the results are byte-identical run by run.
+size or spatial topology, fault seed, loss rate, checkpoint cadence)
+from its case seed, runs it through both the batched lockstep runner
+and the sequential per-run path, and asserts the results are
+byte-identical run by run.
 
 A failing case prints its case seed and run_id; re-running the one
 parametrized case reproduces the exact grid (the no-shrinking
@@ -26,6 +27,7 @@ import pytest
 from repro.core.compiled import have_numpy
 from repro.parallel import RunSpec, execute_spec, sweep
 from repro.parallel.batch import run_batch
+from repro.topology import grid_topology
 
 pytestmark = pytest.mark.skipif(
     not have_numpy(), reason="the batched engine needs numpy"
@@ -70,6 +72,13 @@ def _random_spec(rng: random.Random, run_id: str) -> RunSpec:
         # The emergency/chaos scripts fiddle machine1..machine3, so a
         # non-default cluster must keep at least those machines.
         params["cluster_size"] = 5 if scenario != "none" else rng.choice((2, 5))
+    elif rng.random() < 0.25:
+        # A small machine room: inlets come from its recirculation
+        # operator instead of the cluster air graph.
+        params["topology"] = grid_topology(
+            rng.choice((3, 6)), zones=rng.choice((1, 2)),
+            machines_per_rack=rng.choice((2, 3)),
+        ).to_json()
     if rng.random() < 0.3:
         params["checkpoint_every"] = rng.choice((30.0, 60.0))
     if rng.random() < 0.25:

@@ -1,4 +1,4 @@
-"""Sweep-engine integration: topology specs, eviction, crash resume."""
+"""Sweep-engine integration: topology specs, batch pooling, crash resume."""
 
 import json
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import SweepError
 from repro.parallel import RunSpec, execute_spec, expand_grid, sweep
-from repro.parallel.batch import EVICT_TOPOLOGY, partition_specs
+from repro.parallel.batch import BatchMember, BatchRunner, partition_specs
+from repro.parallel.engine import build_simulation, collect_result
 from repro.topology import grid_topology
 
 TOPOLOGY_JSON = grid_topology(6, zones=2, machines_per_rack=3).to_json()
@@ -52,11 +53,42 @@ class TestSpec:
         assert RunSpec.from_dict(data).topology == TOPOLOGY_JSON
 
 
+def _dumps(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
 class TestBatchEviction:
-    def test_topology_specs_are_evicted(self):
-        eligible, evicted = partition_specs(specs_for())
-        assert eligible == []
-        assert [reason for _, reason in evicted] == [EVICT_TOPOLOGY] * 2
+    def test_topology_specs_are_not_evicted(self):
+        """Topology runs pool beside plain cluster runs in one group.
+
+        Each member's solver computes its own inlets (topology operator
+        or cluster air graph), so the pool stacks both kinds of run as
+        rows of one shared group and each still matches its solo run.
+        """
+        specs = specs_for()
+        eligible, evicted = partition_specs(specs)
+        assert eligible == specs
+        assert evicted == []
+
+        specs = specs + [RunSpec(
+            run_id="plain", policy="freon", engine="compiled",
+            scenario="emergency", duration=150.0,
+        )]
+        members = [BatchMember(s, build_simulation(s)) for s in specs]
+        runner = BatchRunner(members)
+        assert all(m.pooled for m in members)
+        (pool_group,) = runner.pool._groups.values()
+        assert {slot.simulation for slot, _, _ in pool_group.entries} == {
+            m.simulation for m in members
+        }
+        runner.run()
+        assert runner.pool.evictions == []
+        for member in members:
+            # A plain boolean: pytest's diff of two long JSON strings is slow.
+            same = _dumps(
+                collect_result(member.spec, member.simulation)
+            ) == _dumps(execute_spec(member.spec))
+            assert same, f"{member.spec.run_id} diverged from execute_spec"
 
     def test_strategies_agree_byte_for_byte(self):
         specs = specs_for()
@@ -70,9 +102,10 @@ class TestBatchEviction:
 
 class TestCrashResume:
     def test_resume_under_batch_strategy(self):
-        # A crashing topology run inside strategy="batch": the spec is
-        # evicted to the fan-out path, crashes, resumes from its
-        # checkpoint, and still reproduces the clean run exactly.
+        # A crashing topology run inside strategy="batch": its crash
+        # hook routes the spec to the fan-out path, where it crashes,
+        # resumes from its checkpoint, and still reproduces the clean
+        # run exactly.
         params = dict(
             scenario="emergency", duration=300.0, engine="compiled",
             topology=TOPOLOGY_JSON, checkpoint_every=60.0,
