@@ -9,7 +9,8 @@ a datagram-loss / stuck-sensor / tempd-crash storm, and pins
 
 * the decision logs in the clear: weight adjustments, releases,
   red-line reports, Freon-EC reconfigurations, traditional shutdowns,
-  watchdog restarts, and the tempd -> admd datagram counts;
+  local-DVFS P-state changes, watchdog restarts, and the tempd -> admd
+  datagram counts;
 * the SHA-256 of the per-tick records, of the ``dump_registry``
   payload (minus the host-timing families, which differ between runs),
   of the telemetry event log (wall-clock stamps left out) and of the
@@ -58,6 +59,14 @@ SENSOR_FAULTS = (
     "fault machine1 sensor dropout cpu for 400\n"
 )
 
+#: The same sensor trouble for the local DVFS governors, minus the
+#: dropout: noisy CPU readings on machine 2 under a lossy network.
+DVFS_SENSOR_NOISE = (
+    "fault net loss 0.05\n"
+    "fault machine2 sensor noise cpu 0.3\n"
+    + emergency_script()
+)
+
 #: The multi-tier emergency: the app tier's first machine heats up.
 MULTITIER_EMERGENCY = "sleep 100\nfiddle app1 temperature inlet 38.6\n"
 
@@ -79,7 +88,7 @@ def _cluster_case(policy: str, script: str, **kwargs) -> Callable[[], Dict]:
             [e.kind, e.name, e.component, e.sim_time, e.attrs]
             for e in telemetry.events.events
         ]
-        return {
+        payload = {
             "ticks": len(result.records),
             "drop_fraction": result.drop_fraction,
             "adjustments": [list(a) for a in result.adjustments],
@@ -99,6 +108,13 @@ def _cluster_case(policy: str, script: str, **kwargs) -> Callable[[], Dict]:
             "events_sha256": _sha(events),
             "fault_log_sha256": _sha([list(e) for e in result.fault_log]),
         }
+        if result.pstate_changes:
+            # Only local-DVFS runs change P-states; the key stays absent
+            # elsewhere so those cases keep their pinned payload.
+            payload["pstate_changes"] = [
+                asdict(c) for c in result.pstate_changes
+            ]
+        return payload
 
     return run
 
@@ -145,6 +161,14 @@ CASES: Dict[str, Callable[[], Dict]] = {
         f"{policy}-sensor-faults": _cluster_case(policy, SENSOR_FAULTS)
         for policy in ("freon", "freon-ec")
     },
+    "local-dvfs-emergency": _cluster_case("local-dvfs", emergency_script()),
+    **{
+        f"local-dvfs-chaos-seed{seed}": _cluster_case(
+            "local-dvfs", chaos_script(), fault_seed=seed
+        )
+        for seed in (0, 1, 2)
+    },
+    "local-dvfs-sensor-noise": _cluster_case("local-dvfs", DVFS_SENSOR_NOISE),
     "multitier-freon": _multitier_case,
 }
 
