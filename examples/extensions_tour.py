@@ -6,8 +6,8 @@ reproduction implements; this example exercises each:
 
 1. **variable-speed fans** — a firmware-style fan controller closing the
    loop on CPU temperature;
-2. **clock throttling / DVFS** — a per-CPU P-state governor managing its
-   own temperature;
+2. **clock throttling / DVFS** — the ``local-dvfs`` policy: every CPU
+   steps through P-states to manage its own temperature;
 3. **chip multiprocessors** — two-level (core + package) emulation;
 4. **content-aware two-stage management** — steering only CPU-bound
    requests away from a hot server before touching its whole load.
@@ -22,12 +22,14 @@ from repro.cluster.content_aware import (
     TwoStageFreon,
     classed_load,
 )
+from repro.cluster.simulation import ClusterSimulation, emergency_script
+from repro.cluster.tracegen import constant_trace
 from repro.config import table1
 from repro.config.cmp import cmp_machine, core_name, set_core_utilizations
 from repro.config.layouts import validation_machine
+from repro.control import DEFAULT_PSTATES
 from repro.core.fans import DEFAULT_SERVER_CURVE, FanController
 from repro.core.solver import Solver
-from repro.freon.local import DvfsGovernor
 
 
 def fan_demo():
@@ -47,24 +49,18 @@ def fan_demo():
 
 
 def dvfs_demo():
-    print("2. DVFS governor: hot inlet, CPU manages itself")
-    solver = Solver([validation_machine()], record=False)
-    solver.force_temperature("machine1", "inlet", 38.6)
-    solver.set_utilization("machine1", table1.CPU, 0.9)
-    governor = DvfsGovernor(
-        read_temperature=lambda: solver.temperature("machine1", table1.CPU),
-        apply=lambda f, p: solver.machine("machine1").set_power_scale(
-            table1.CPU, p
-        ),
+    print("2. Local DVFS: hot inlets, each CPU manages itself")
+    sim = ClusterSimulation(
+        policy="local-dvfs", fiddle_script=emergency_script(time=100.0),
+        trace=constant_trace(290.0, 2100.0),
     )
-    for _ in range(3000):
-        solver.step()
-        governor.tick(1.0)
+    result = sim.run(2000)
+    frequencies = [DEFAULT_PSTATES[i][0] for i in sim.controller.pstate]
     print(
-        f"   settled: CPU={solver.temperature('machine1', table1.CPU):.1f} C "
-        f"in P-state {governor.index} "
-        f"(f={governor.frequency_ratio:.2f}, P={governor.power_ratio:.2f}); "
-        f"{len(governor.changes)} transitions\n"
+        f"   peak CPU on machine1: {result.max_temperature('machine1'):.1f} C "
+        f"(red line {table1.T_RED_CPU:g} C); "
+        f"{len(result.pstate_changes)} P-state transitions; "
+        f"final frequencies {frequencies}\n"
     )
 
 

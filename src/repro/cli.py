@@ -304,8 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("auto", "batch", "fork"), default="auto",
         help="execution strategy: batch = vectorize compiled runs "
              "through one stacked solver, fork = one worker per run, "
-             "auto = batch when NumPy is available (all strategies "
-             "produce byte-identical artifacts)",
+             "auto = batch (all strategies produce byte-identical "
+             "artifacts)",
     )
     sweep.add_argument(
         "--output", default="sweep.json", metavar="PATH",

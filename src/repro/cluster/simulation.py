@@ -10,19 +10,19 @@ Wires together every piece of the reproduction:
   its solver ran on yet another machine";
 * fiddle events raising machine inlet temperatures mid-run;
 * a pluggable management policy from the :mod:`repro.control` registry
-  (base Freon, Freon-EC, the traditional red-line shutdown), per-CPU
-  DVFS governors, or none.  Registry policies act through
+  (base Freon, Freon-EC, the traditional red-line shutdown, per-CPU
+  DVFS) or none.  Policies act through
   :meth:`ClusterSimulation.state_view`, the same code that manages the
   flattened datacenter stack.
 
 The simulation runs on the :mod:`repro.kernel` discrete-event scheduler:
-solver ticks, the policy's LVS statistics samples (5 s), monitor-period
-wakes and Freon-EC evaluations (60 s), DVFS governor decisions, watchdog
-passes, datagram deliveries, fault firings, fiddle-script statements,
-and telemetry sampling are all events on one priority queue sharing one
-:class:`~repro.kernel.clock.SimClock`.  In the default legacy-compat
-mode the event priorities reproduce the original monolithic tick loop's
-ordering exactly (the golden traces under ``tests/golden`` are
+solver ticks, the policy's LVS statistics samples (5 s), its wakes (every
+monitor period, 60 s, or every 5 s for local DVFS) and Freon-EC
+evaluations (60 s), watchdog passes, datagram deliveries, fault firings,
+fiddle-script statements, and telemetry sampling are all events on one
+priority queue sharing one :class:`~repro.kernel.clock.SimClock`.  In
+the default legacy-compat mode the event priorities reproduce the
+original monolithic tick loop's ordering exactly (the golden traces under ``tests/golden`` are
 byte-identical) and tempd -> admd datagrams are flushed once per tick;
 ``mode="event"`` instead delivers each datagram as its own event after
 a real sub-tick network latency (plus any injected delay).  Every tick
@@ -88,7 +88,7 @@ MODES = ("legacy", "event")
 #: the seq counter breaks remaining ties in scheduling order).  At a
 #: shared timestamp T the legacy tick loop ran: the management work of
 #: the tick that *ended* at T (LVS statistics sample, the policy's wake,
-#: datagram flush, EC evaluation, governors, watchdog, that tick's
+#: datagram flush, EC evaluation, watchdog, that tick's
 #: record), then the work of the tick that *starts* at T (fault clock,
 #: script statements, load balancing + solver step).  The bands encode
 #: exactly that order, which is how the kernel reproduces the legacy
@@ -97,7 +97,6 @@ PRIORITY_STATS = 10
 PRIORITY_WAKE = 20
 PRIORITY_DELIVER = 30
 PRIORITY_EVALUATE = 40
-PRIORITY_GOVERNOR = 60
 PRIORITY_WATCHDOG = 70
 PRIORITY_RECORD = 80
 PRIORITY_FAULTS = 100
@@ -465,25 +464,11 @@ class ClusterSimulation:
     # -- policy wiring -----------------------------------------------------
 
     def _build_policy(self) -> None:
-        self.governors: Dict[str, "DvfsGovernor"] = {}
         #: The registry policy managing the cluster through the state
-        #: view (None for "none" and "local-dvfs").
+        #: view (None for "none").
         self.controller = _build_controller(
             self.policy, "cluster", config=self.config
         )
-        if self.policy == "local-dvfs":
-            from ..freon.local import DvfsGovernor
-
-            for name in self.machines:
-                self.governors[name] = DvfsGovernor(
-                    read_temperature=self._cpu_reader(name),
-                    apply=self._dvfs_applier(name),
-                    high=self.config.high("cpu"),
-                    low=self.config.low("cpu"),
-                    machine=name,
-                    telemetry=self.telemetry,
-                )
-            return
         if self.controller is None:
             return
         view = self.state_view()
@@ -501,22 +486,6 @@ class ClusterSimulation:
         self.controller.attach(
             view, telemetry=self.telemetry, send=self.channel
         )
-
-    def _cpu_reader(self, name: str):
-        def reader() -> float:
-            return self.service.read_temperature(name, "cpu")
-
-        return reader
-
-    def _dvfs_applier(self, name: str):
-        def apply(frequency_ratio: float, power_ratio: float) -> None:
-            self.webservers[name].set_speed_factor(frequency_ratio)
-            self.solver.machine(name).set_power_scale(
-                table1.CPU, power_ratio
-            )
-            self._ff_mark_dirty()
-
-        return apply
 
     # -- control-plane seam --------------------------------------------------
 
@@ -549,6 +518,14 @@ class ClusterSimulation:
             return
         self.balancer.quiesce(name)
         server.begin_drain()
+
+    def set_dvfs(self, name: str, frequency: float, power: float) -> None:
+        """Run one machine's CPU at a DVFS operating point: requests are
+        processed at ``frequency`` x nominal speed while the CPU draws
+        ``power`` x its nominal power."""
+        self.webservers[name].set_speed_factor(frequency)
+        self.solver.machine(name).set_power_scale(table1.CPU, power)
+        self._ff_mark_dirty()
 
     def _restart_daemon(self, machine: str, daemon: str) -> None:
         """Watchdog hook: a restarted tempd loses its in-memory state.
@@ -586,7 +563,6 @@ class ClusterSimulation:
         k.register("wake", self._ev_wake)
         k.register("deliver", self._ev_deliver)
         k.register("evaluate", self._ev_evaluate)
-        k.register("governor", self._ev_governor)
         k.register("watchdog", self._ev_watchdog)
 
     def _schedule_initial_events(self) -> None:
@@ -602,15 +578,10 @@ class ClusterSimulation:
         if self.controller is not None:
             period = self.config.monitor_period
             k.schedule(self.config.stats_period, PRIORITY_STATS, "stats")
-            k.schedule(period, PRIORITY_WAKE, "wake")
+            k.schedule(self.controller.period, PRIORITY_WAKE, "wake")
             if self.channel is not None and self.mode == "legacy":
                 k.schedule(self.dt, PRIORITY_DELIVER, "deliver")
             k.schedule(period, PRIORITY_EVALUATE, "evaluate")
-        for name, governor in self.governors.items():
-            k.schedule(
-                governor.period, PRIORITY_GOVERNOR, "governor",
-                {"machine": name},
-            )
         k.schedule(self.watchdog.check_period, PRIORITY_WATCHDOG, "watchdog")
 
     # -- main loop ------------------------------------------------------------
@@ -742,34 +713,11 @@ class ClusterSimulation:
         self.kernel.schedule(now + dt, PRIORITY_TICK, "tick")
 
     def _solver_tick(self) -> None:
+        utils_changed = self._feed_monitord()
         if not self.fast_forward:
-            self._feed_monitord()
             self.solver.step()
             return
-        # One pass replaces _feed_monitord: feed the solver only when a
-        # machine's utilization actually moved (set_utilizations is
-        # idempotent, so skipping repeats changes nothing), and use the
-        # same comparison to detect input quiescence.  _ff_mark_dirty
-        # clears _ff_last_utils, so any out-of-band solver mutation
-        # forces a full re-feed on the next tick.
-        utils_changed = False
-        last = self._ff_last_utils
-        active = (
-            self.injector.monitord_active if self.injector.any_active else None
-        )
-        feed = self.solver.set_utilizations
-        for name, ws in self.webservers.items():
-            if active is not None and not active(name):
-                continue
-            load = ws.load
-            pair = (load.cpu_utilization, load.disk_utilization)
-            if last.get(name) != pair:
-                utils_changed = True
-                last[name] = pair
-                feed(
-                    name,
-                    {table1.CPU: pair[0], table1.DISK_PLATTERS: pair[1]},
-                )
+        # The feed's change flag doubles as the input-quiescence test.
         if self._ff_dirty or utils_changed:
             self._ff_dirty = False
             self._ff_quiet = 0
@@ -795,14 +743,19 @@ class ClusterSimulation:
                 )
                 self._ff_next_probe = self._ff_quiet + self._ff_backoff
 
-    def _feed_monitord(self) -> None:
-        # monitord path: utilizations into the Mercury solver.  A stalled
-        # or crashed monitord leaves the solver holding that machine's
-        # previous utilizations (stale data, as in life).  Machines whose
-        # pair matches the last fed values are skipped — set_utilizations
-        # is idempotent, and _ff_mark_dirty clears _ff_last_utils on
-        # every path that can touch the solver out of band (commands,
-        # faults, power changes), forcing a full re-feed.
+    def _feed_monitord(self) -> bool:
+        """Feed the servers' utilizations to the solver; True when any
+        machine's pair changed since it was last fed.
+
+        A stalled or crashed monitord leaves the solver holding that
+        machine's previous utilizations (stale data, as in life).
+        Machines whose pair matches the last fed values are skipped —
+        set_utilizations is idempotent, and _ff_mark_dirty clears
+        _ff_last_utils on every path that can touch the solver out of
+        band (commands, faults, power changes, DVFS), forcing a full
+        re-feed.
+        """
+        changed = False
         last = self._ff_last_utils
         active = (
             self.injector.monitord_active if self.injector.any_active else None
@@ -814,11 +767,13 @@ class ClusterSimulation:
             load = ws.load
             pair = (load.cpu_utilization, load.disk_utilization)
             if last.get(name) != pair:
+                changed = True
                 last[name] = pair
                 feed(
                     name,
                     {table1.CPU: pair[0], table1.DISK_PLATTERS: pair[1]},
                 )
+        return changed
 
     def _ff_mark_dirty(self) -> None:
         """An input to the thermal model changed: stop any coasting."""
@@ -893,7 +848,7 @@ class ClusterSimulation:
         if self.mode == "event" and self.channel is not None:
             self._schedule_delivery()
         self.kernel.schedule(
-            now + self.config.monitor_period, PRIORITY_WAKE, "wake"
+            now + self.controller.period, PRIORITY_WAKE, "wake"
         )
 
     def _ev_deliver(self, event: Event) -> None:
@@ -920,14 +875,6 @@ class ClusterSimulation:
         self.kernel.schedule(
             event.time + self.config.monitor_period, PRIORITY_EVALUATE,
             "evaluate",
-        )
-
-    def _ev_governor(self, event: Event) -> None:
-        name = event.payload["machine"]
-        self.governors[name].wake(event.time)
-        self.kernel.schedule(
-            event.time + self.governors[name].period, PRIORITY_GOVERNOR,
-            "governor", {"machine": name},
         )
 
     def _ev_watchdog(self, event: Event) -> None:
@@ -1030,8 +977,9 @@ class ClusterSimulation:
     #: Checkpoint format version; bumped on incompatible layout changes.
     #: Version 2 added the pending event queue (the kernel refactor);
     #: version 3 replaced the per-daemon state with the registry
-    #: policy's own checkpoint (decision logs included).
-    CHECKPOINT_VERSION = 3
+    #: policy's own checkpoint (decision logs included); version 4 moved
+    #: the local DVFS state (P-states and their log) there too.
+    CHECKPOINT_VERSION = 4
 
     def checkpoint(self) -> Dict[str, object]:
         """Snapshot the entire simulation as plain JSON-able data.
@@ -1081,15 +1029,6 @@ class ClusterSimulation:
             }
             for name, ws in self.webservers.items()
         }
-        governor_state = {
-            name: {
-                "index": g.index,
-                "elapsed": g._elapsed,
-                "time": g.time,
-                "changes": [asdict(c) for c in g.changes],
-            }
-            for name, g in self.governors.items()
-        }
         state: Dict[str, object] = {
             "version": self.CHECKPOINT_VERSION,
             "policy": self.policy,
@@ -1123,7 +1062,6 @@ class ClusterSimulation:
                 None if self.controller is None
                 else self.controller.checkpoint()
             ),
-            "governors": governor_state,
             "records": [self._record_to_dict(r) for r in self.records],
         }
         if self.cloning is not None:
@@ -1185,19 +1123,6 @@ class ClusterSimulation:
             ws.load = ServerLoad(**saved["load"])
         if self.controller is not None and data["controller"] is not None:
             self.controller.restore(data["controller"])
-        for name, saved in data["governors"].items():
-            governor = self.governors.get(name)
-            if governor is None:
-                continue
-            # Actuation effects (power scales, speed factors) are part
-            # of the solver/webserver state restored above; only the
-            # governor's own clock and history are rebuilt here.
-            governor.index = int(saved["index"])
-            governor._elapsed = float(saved["elapsed"])
-            governor.time = float(saved["time"])
-            from ..freon.local import PStateChange
-
-            governor.changes = [PStateChange(**c) for c in saved["changes"]]
         self.time = float(data["time"])
         self.total_offered = float(data["total_offered"])
         self.total_dropped = float(data["total_dropped"])
@@ -1261,12 +1186,7 @@ class ClusterSimulation:
         redlined = getattr(controller, "redlined", [])
         ec_events = getattr(controller, "events", [])
         shutdowns = getattr(controller, "shutdowns", [])
-        pstate_changes = [
-            change
-            for governor in self.governors.values()
-            for change in governor.changes
-        ]
-        pstate_changes.sort(key=lambda c: c.time)
+        pstate_changes = getattr(controller, "pstate_changes", [])
         drop_fraction = (
             self.total_dropped / self.total_offered if self.total_offered else 0.0
         )
@@ -1289,7 +1209,7 @@ class ClusterSimulation:
             redlined=list(redlined),
             ec_events=list(ec_events),
             shutdowns=list(shutdowns),
-            pstate_changes=pstate_changes,
+            pstate_changes=list(pstate_changes),
             fiddle_log=list(self._script.fiddle.log) if self._script else [],
             fault_log=list(self.injector.log),
             restarts=list(self.watchdog.events),

@@ -10,8 +10,8 @@ from emulation, applied to this repo's two stacks:
   :class:`~repro.cluster.simulation.ClusterSimulation` and a vectorized
   backend over :class:`~repro.topology.sim.ScaleSimulation`.
 * :mod:`repro.control.policies` — Freon, Freon-EC, traditional
-  shutdown, and emergency control, written once against the view and
-  run by every stack.
+  shutdown, emergency control and local DVFS, written once against the
+  view and run by every stack that supports them.
 * :mod:`repro.control.registry` — the policy name registry both stacks
   validate against and build from.
 * :mod:`repro.control.parity` — the scalar-vs-vectorized equivalence
@@ -32,10 +32,13 @@ from .view import (
     MachineStateView,
 )
 from .policies import (
+    DEFAULT_PSTATES,
     ControlPolicy,
     EmergencyPolicy,
     FreonECPolicy,
     FreonPolicy,
+    LocalDvfsPolicy,
+    PStateChange,
     TraditionalControlPolicy,
 )
 
@@ -54,8 +57,11 @@ __all__ = [
     "FlatStateView",
     "MachineStateView",
     "ControlPolicy",
+    "DEFAULT_PSTATES",
     "EmergencyPolicy",
     "FreonECPolicy",
     "FreonPolicy",
+    "LocalDvfsPolicy",
+    "PStateChange",
     "TraditionalControlPolicy",
 ]

@@ -34,6 +34,10 @@ One Freon monitor period has two halves:
 Freon-EC adds a third step, :meth:`FreonECPolicy.evaluate`, the grow /
 shrink pass the host runs after the period's datagrams are delivered.
 
+:class:`LocalDvfsPolicy` is section 4.3's comparison point: no daemons
+and no balancer, just a P-state thermostat per CPU on its own 5 s clock,
+actuated through :meth:`MachineStateView.set_dvfs` (cluster stack only).
+
 The sums inside the share-reduction and utilization-averaging arithmetic
 deliberately run as Python left-folds in canonical machine order — not
 ``np.sum`` — so results are bit-identical to builtin ``sum()`` over
@@ -50,10 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-try:  # NumPy is required for the unified policies; imports stay gated
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..config import table1
 from ..daemons.tempd import (
@@ -123,6 +124,12 @@ class ControlPolicy:
     #: ``deliver``.
     datagrams = False
 
+    @property
+    def period(self) -> float:
+        """Seconds between wakes: the monitor period, unless the policy
+        runs on its own (hardware) clock."""
+        return self.config.monitor_period
+
     def attach(self, view: MachineStateView, telemetry=None,
                send: Optional[Callable[[TempdMessage], None]] = None) -> None:
         """Wire the policy to a host: its telemetry and datagram path."""
@@ -162,8 +169,6 @@ class FreonPolicy(ControlPolicy):
     _ec_mode = False
 
     def __init__(self, config: Optional[FreonConfig] = None) -> None:
-        if np is None:
-            raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
         #: Component classes, in the config's (dict) order: the rows of
         #: every per-class array below.
@@ -912,8 +917,6 @@ class TraditionalControlPolicy(ControlPolicy):
     name = "traditional"
 
     def __init__(self, config: Optional[FreonConfig] = None) -> None:
-        if np is None:
-            raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
         self.classes: Tuple[str, ...] = tuple(self.config.thresholds)
         self.shutdowns: List[Shutdown] = []
@@ -981,8 +984,6 @@ class EmergencyPolicy(ControlPolicy):
     name = "emergency"
 
     def __init__(self, config: Optional[FreonConfig] = None) -> None:
-        if np is None:
-            raise ControlError("unified policies require NumPy")
         self.config = config or FreonConfig()
         self.classes: Tuple[str, ...] = tuple(self.config.thresholds)
         #: Rows this policy powered off (candidates for recovery).
@@ -1022,6 +1023,131 @@ class EmergencyPolicy(ControlPolicy):
         ]
 
 
+#: A Pentium-4-era P-state ladder: (frequency ratio, power ratio),
+#: fastest first.  Power scales ~ f * V^2 with voltage dropping
+#: alongside frequency, so the power ratios fall super-linearly.
+DEFAULT_PSTATES: Tuple[Tuple[float, float], ...] = (
+    (1.00, 1.00),
+    (0.85, 0.68),
+    (0.70, 0.45),
+    (0.55, 0.29),
+)
+
+#: Seconds between local DVFS decisions: hardware governors run much
+#: faster than Freon's one-minute loop.
+DVFS_PERIOD = 5.0
+
+
+@dataclass(frozen=True, slots=True)
+class PStateChange:
+    """One recorded P-state transition."""
+
+    time: float
+    index: int
+    frequency_ratio: float
+    power_ratio: float
+    temperature: float
+
+
+class LocalDvfsPolicy(ControlPolicy):
+    """CPU-local thermal management (section 4.3): a DVFS thermostat on
+    every CPU, with no cluster-level coordination.
+
+    Each wake steps a machine down one P-state of :data:`DEFAULT_PSTATES`
+    when its CPU reads above the high threshold and back up one when it
+    reads below the low threshold; a failed (``NaN``) read holds the
+    current P-state.  Machines are handled one at a time in row order
+    (read, decide, actuate), as independent per-CPU governors would.
+    The frequency ratio slows the machine's request processing, which is
+    the throughput cost Freon's remote throttling avoids.
+    """
+
+    name = "local-dvfs"
+    period = DVFS_PERIOD
+
+    def __init__(self, config: Optional[FreonConfig] = None) -> None:
+        self.config = config or FreonConfig()
+        self.high = self.config.high("cpu")
+        self.low = self.config.low("cpu")
+        self.telemetry = _ensure_telemetry(None)
+        #: Per machine (row order): current index into DEFAULT_PSTATES;
+        #: sized by :meth:`attach`.
+        self.pstate: List[int] = []
+        self.pstate_changes: List[PStateChange] = []
+        #: Per machine: (transition counter, frequency-ratio gauge).
+        self._tel: List[Tuple[object, object]] = []
+
+    def attach(self, view, telemetry=None, send=None) -> None:
+        self.pstate = [0] * len(view.machines)
+        self.telemetry = telemetry = _ensure_telemetry(telemetry)
+        self._tel = [
+            (
+                telemetry.counter(
+                    "dvfs_pstate_changes_total", {"machine": name},
+                    help="P-state transitions made by the local governor.",
+                ),
+                telemetry.gauge(
+                    "dvfs_frequency_ratio", {"machine": name},
+                    help="Current frequency relative to nominal.",
+                ),
+            )
+            for name in view.machines
+        ]
+
+    def wake(self, view: MachineStateView, now: float) -> None:
+        n = len(view.machines)
+        last = len(DEFAULT_PSTATES) - 1
+        for i in range(n):
+            one = np.zeros(n, dtype=bool)
+            one[i] = True
+            temperature = float(
+                view.read_temperatures(("cpu",), mask=one)["cpu"][i]
+            )
+            index = self.pstate[i]
+            if temperature > self.high and index < last:
+                index += 1
+            elif temperature < self.low and index > 0:
+                index -= 1
+            else:
+                continue  # in the band, at a ladder end, or a failed read
+            self.pstate[i] = index
+            frequency, power = DEFAULT_PSTATES[index]
+            view.set_dvfs(i, frequency, power)
+            self.pstate_changes.append(PStateChange(
+                time=now, index=index, frequency_ratio=frequency,
+                power_ratio=power, temperature=temperature,
+            ))
+            changes, ratio = self._tel[i]
+            changes.inc()
+            ratio.set(frequency)
+            if self.telemetry.enabled:
+                self.telemetry.event(
+                    "dvfs_pstate_change", "dvfs", machine=view.machines[i],
+                    index=index, frequency_ratio=frequency,
+                    temperature=temperature,
+                )
+
+    def checkpoint(self) -> Dict[str, object]:
+        return {
+            "pstate": list(self.pstate),
+            "pstate_changes": [
+                [c.time, c.index, c.frequency_ratio, c.power_ratio,
+                 c.temperature]
+                for c in self.pstate_changes
+            ],
+        }
+
+    def restore(self, data: Dict[str, object]) -> None:
+        # Actuation effects (speed factors, CPU power scales) live in the
+        # host's own checkpointed state; only the ladder positions and
+        # the log are the policy's.
+        self.pstate = [int(i) for i in data["pstate"]]
+        self.pstate_changes = [
+            PStateChange(float(t), int(i), float(f), float(p), float(temp))
+            for t, i, f, p, temp in data["pstate_changes"]
+        ]
+
+
 # -- registrations -----------------------------------------------------------
 # Insertion order is canonical: the cluster slice must keep the
 # historical POLICIES order (none, freon, freon-ec, traditional,
@@ -1054,6 +1180,7 @@ register(PolicySpec(
     name="local-dvfs",
     description="per-CPU DVFS with no cluster coordination (section 4.3)",
     stacks=("cluster",),
+    factory=LocalDvfsPolicy,
 ))
 register(PolicySpec(
     name="emergency",

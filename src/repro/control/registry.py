@@ -15,8 +15,7 @@ A policy's ``factory`` builds a :class:`~repro.control.policies.
 ControlPolicy` that acts through a :class:`~repro.control.view.
 MachineStateView`; the same policy object runs unchanged on a scalar or
 a vectorized view, so each stack builds it with :func:`build`.  Only
-``"none"`` and ``"local-dvfs"`` (per-CPU governors the cluster wires
-itself) have no factory.
+``"none"`` has no factory.
 
 Look-ups go through :func:`get`; an unknown name raises
 :class:`~repro.errors.ControlError` listing every name valid for the
@@ -41,8 +40,7 @@ class PolicySpec:
 
     ``factory`` builds the stack-agnostic :class:`~repro.control.
     policies.ControlPolicy` (``factory(**kwargs)``); it is ``None`` for
-    ``"none"`` and for cluster-only mechanisms the simulation wires
-    itself (their name is still registered so both stacks share one
+    ``"none"`` (the name is still registered so both stacks share one
     validation list).
     """
 
@@ -106,8 +104,7 @@ def get(name: str, stack: Optional[str] = None) -> PolicySpec:
 def build(name: str, stack: str, **kwargs) -> object:
     """Instantiate a policy's stack-agnostic implementation.
 
-    ``None`` when the policy is registered for the stack but has no
-    view-driven factory (``"none"``, ``"local-dvfs"``).
+    ``None`` for ``"none"``, the one policy without a factory.
     """
     spec = get(name, stack)
     if spec.factory is None:

@@ -36,10 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-try:  # NumPy is required for the array views; imports stay gated
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..errors import ControlError, SensorError
 from ..freon.regions import two_region_split
@@ -50,11 +47,6 @@ POWER_OFF = 0
 POWER_BOOTING = 1
 POWER_ACTIVE = 2
 POWER_DRAINING = 3
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise ControlError("machine-state views require NumPy")
 
 
 class MachineStateView(Protocol):
@@ -126,18 +118,18 @@ class ClusterStateView:
 
     Reads go through the simulation's sensor service (alias resolution
     plus injected sensor faults) and its balancer; power goes through
-    its drain/boot semantics.  Obtain one via
-    :meth:`ClusterSimulation.state_view`.  Anything with the same
+    its drain/boot semantics, DVFS through its ``set_dvfs``.  Obtain one
+    via :meth:`ClusterSimulation.state_view`.  Anything with the same
     attributes (``machines``, ``topology``, ``service``, ``balancer``,
-    ``webservers``, ``injector``, ``request_on``/``request_off``) can be
-    viewed the same way, e.g. one tier of a multi-tier service.
+    ``webservers``, ``injector``, ``request_on``/``request_off``, and
+    ``set_dvfs`` for a DVFS policy) can be viewed the same way, e.g. one
+    tier of a multi-tier service.
 
     Regions are the topology's zones when a topology is configured, and
     otherwise the section 5.2 alternating split.
     """
 
     def __init__(self, simulation) -> None:
-        _require_numpy()
         self._sim = simulation
         self.machines: Tuple[str, ...] = tuple(simulation.machines)
         if simulation.topology is not None:
@@ -246,11 +238,7 @@ class ClusterStateView:
         )
 
     def set_dvfs(self, index, frequency, power):
-        from ..config import table1
-
-        name = self.machines[index]
-        self._sim.webservers[name].set_speed_factor(frequency)
-        self._sim.solver.machine(name).set_power_scale(table1.CPU, power)
+        self._sim.set_dvfs(self.machines[index], frequency, power)
 
 
 class FlatStateView:
@@ -270,7 +258,6 @@ class FlatStateView:
     _NODES: Dict[str, str] = {}
 
     def __init__(self, simulation) -> None:
-        _require_numpy()
         from ..config import table1
 
         if not FlatStateView._NODES:

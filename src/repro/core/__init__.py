@@ -18,17 +18,17 @@ from .power import (
     ScaledPowerModel,
     TablePowerModel,
 )
-from .compiled import CompiledSolver, MachinePlan, compile_layout, have_numpy
+from .compiled import MachinePlan, compile_layout
 from .solver import DEFAULT_DT, ENGINES, Solver
 from .state import History, MachineState, Sample
 from .trace import TimedEvent, UtilizationTrace, run_offline
 
 __all__ = [
-    "AirEdge", "AirRegion", "ClusterAirEdge", "ClusterLayout", "CompiledSolver",
+    "AirEdge", "AirRegion", "ClusterAirEdge", "ClusterLayout",
     "Component", "ConstantPowerModel", "CoolingSource", "DEFAULT_DT", "ENGINES",
     "HeatEdge", "History", "LinearPowerModel", "MachineLayout", "MachinePlan",
     "MachineState", "PowerModel", "Sample", "ScaledPowerModel", "Solver",
     "TablePowerModel", "TimedEvent", "UtilizationTrace", "compile_layout",
-    "have_numpy", "run_offline",
+    "run_offline",
     "DEFAULT_SERVER_CURVE", "FanController", "FanCurve",
 ]

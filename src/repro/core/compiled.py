@@ -31,32 +31,20 @@ the two engines agree within 1e-9 °C per tick (see ``tests/golden`` and
 temperatures are written back into the per-machine state dicts, so sensor
 reads, History recording, and the fiddle tool see exactly the same
 surface as with the reference engine.
-
-NumPy is optional at import time: constructing a solver with
-``engine="compiled"`` raises :class:`~repro.errors.SolverError` when it
-is unavailable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-try:  # gate the dependency: the package must import without NumPy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from .. import units
 from ..errors import SolverError
-from .graph import ClusterLayout, MachineLayout
+from .graph import MachineLayout
 from .power import ConstantPowerModel, LinearPowerModel, PowerModel, TablePowerModel
-from .solver import DEFAULT_DT, Solver
+from .solver import Solver
 from .state import MachineState
-
-
-def have_numpy() -> bool:
-    """True when the compiled engine can actually run."""
-    return np is not None
 
 
 def _power_signature(model: PowerModel) -> Tuple:
@@ -102,10 +90,6 @@ class MachinePlan:
     """
 
     def __init__(self, layout: MachineLayout) -> None:
-        if np is None:
-            raise SolverError(
-                "the compiled engine requires NumPy; use engine='python'"
-            )
         self.signature = layout_signature(layout)
         self.comp_names: Tuple[str, ...] = tuple(layout.components)
         self.air_names: Tuple[str, ...] = tuple(layout.air_regions)
@@ -440,10 +424,6 @@ class CompiledEngine:
     measure_host_latency = True
 
     def __init__(self, solver: Solver) -> None:
-        if np is None:
-            raise SolverError(
-                "engine='compiled' requires NumPy; use engine='python'"
-            )
         self._solver = solver
         by_signature: Dict[Tuple, List[Tuple[str, MachineState]]] = {}
         plans: Dict[Tuple, MachinePlan] = {}
@@ -515,25 +495,3 @@ class CompiledEngine:
                 )
         tick_group(g, inlet, solver.dt)
 
-
-class CompiledSolver(Solver):
-    """A :class:`~repro.core.solver.Solver` preset to the compiled engine."""
-
-    def __init__(
-        self,
-        layouts: Sequence[MachineLayout],
-        cluster: Optional[ClusterLayout] = None,
-        dt: float = DEFAULT_DT,
-        initial_temperature: Optional[float] = None,
-        record: bool = True,
-        telemetry=None,
-    ) -> None:
-        super().__init__(
-            layouts,
-            cluster=cluster,
-            dt=dt,
-            initial_temperature=initial_temperature,
-            record=record,
-            engine="compiled",
-            telemetry=telemetry,
-        )

@@ -35,7 +35,7 @@ from ..cluster.simulation import (
     emergency_script,
 )
 from ..config.layouts import validation_cluster
-from ..core.compiled import compile_layout, have_numpy
+from ..core.compiled import compile_layout
 from ..errors import SweepError
 from ..faults import derive_seed
 from ..freon.policy import ComponentThresholds, FreonConfig
@@ -300,8 +300,7 @@ def _worker(payload: Dict[str, object]) -> Dict[str, object]:
         }
 
 
-#: Valid ``sweep(..., strategy=)`` values.  ``auto`` picks ``batch``
-#: whenever NumPy is available and falls back to ``fork`` otherwise.
+#: Valid ``sweep(..., strategy=)`` values.  ``auto`` means ``batch``.
 STRATEGIES = ("auto", "batch", "fork")
 
 
@@ -387,7 +386,7 @@ def sweep(
       vectorized solver (:mod:`repro.parallel.batch`); runs the batch
       cannot express fall back to the fork path.  ``workers`` then fans
       out across signature *batches*, not runs.
-    * ``"auto"`` — ``batch`` when NumPy is available, else ``fork``.
+    * ``"auto"`` — the same as ``batch``.
 
     All strategies produce byte-identical artifacts; the property-test
     harness in ``tests/parallel/test_batch_equivalence.py`` holds them
@@ -402,8 +401,6 @@ def sweep(
     ids = [s.run_id for s in specs]
     if len(set(ids)) != len(ids):
         raise SweepError("duplicate run_ids in sweep")
-    if strategy == "auto":
-        strategy = "batch" if have_numpy() else "fork"
     if strategy == "fork":
         return merge_results(_fan_out(specs, workers))
 

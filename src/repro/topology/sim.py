@@ -46,10 +46,7 @@ import shlex
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # NumPy is required for the flattened path; imports stay gated
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    np = None
+import numpy as np
 
 from ..config import table1
 from ..config.layouts import validation_machine
@@ -61,7 +58,7 @@ from ..control import (
 )
 from ..control import build as _build_policy
 from ..control import get as _get_policy
-from ..core.compiled import _Group, compile_layout, have_numpy, tick_group
+from ..core.compiled import _Group, compile_layout, tick_group
 from ..core.graph import MachineLayout
 from ..core.state import MachineState
 from ..cluster.lvs import CloningConfig, allocate_rates, allocate_rates_cloned
@@ -140,10 +137,6 @@ class FlatSolver:
         dt: float = 1.0,
         initial_temperature: Optional[float] = None,
     ) -> None:
-        if not have_numpy():
-            raise TopologyError(
-                "the flattened solver requires NumPy"
-            )
         if dt <= 0.0:
             raise TopologyError("dt must be positive")
         if layout is None:

@@ -1,5 +1,6 @@
 """Tests for the LVS-style weighted least-connections balancer model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -195,7 +196,6 @@ class TestActiveCacheInvalidation:
 
 class TestVectorizedAllocate:
     def test_infinite_ceilings_place_everything(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import allocate_rates
 
         rates, dropped = allocate_rates(
@@ -206,7 +206,6 @@ class TestVectorizedAllocate:
         assert rates == pytest.approx(np.full(8, 125.0))
 
     def test_all_saturated_drops_excess(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import allocate_rates
 
         rates, dropped = allocate_rates(
@@ -216,7 +215,6 @@ class TestVectorizedAllocate:
         assert dropped == pytest.approx(100.0)
 
     def test_zero_weight_servers_get_nothing(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import allocate_rates
 
         weights = np.array([1.0, 0.0, 1.0])
@@ -289,7 +287,6 @@ class TestCloning:
 
 class TestVectorizedCloning:
     def test_matches_scalar_semantics(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import CloningConfig, allocate_rates_cloned
 
         cfg = CloningConfig(clones=2)
@@ -301,7 +298,6 @@ class TestVectorizedCloning:
         assert dropped == 0.0
 
     def test_sheds_above_ceiling(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import CloningConfig, allocate_rates_cloned
 
         cfg = CloningConfig(clones=2, utilization_ceiling=0.75)
@@ -312,7 +308,6 @@ class TestVectorizedCloning:
         assert rates.sum() == pytest.approx(350.0)
 
     def test_infinite_ceilings_never_shed(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import CloningConfig, allocate_rates_cloned
 
         cfg = CloningConfig(clones=2)
@@ -322,7 +317,6 @@ class TestVectorizedCloning:
         assert cloned and dropped == 0.0
 
     def test_dropped_reported_in_request_units(self):
-        np = pytest.importorskip("numpy")
         from repro.cluster.lvs import CloningConfig, allocate_rates_cloned
 
         # Force cloning to persist into saturation with a ceiling of 1.0

@@ -25,11 +25,15 @@ class TestConstruction:
         from repro.control import (
             FreonECPolicy,
             FreonPolicy,
+            LocalDvfsPolicy,
             TraditionalControlPolicy,
         )
 
         assert ClusterSimulation(policy="none").controller is None
-        assert ClusterSimulation(policy="local-dvfs").controller is None
+        assert isinstance(
+            ClusterSimulation(policy="local-dvfs").controller,
+            LocalDvfsPolicy,
+        )
         freon = ClusterSimulation(policy="freon")
         assert type(freon.controller) is FreonPolicy
         assert freon.channel is not None

@@ -3,7 +3,7 @@
 Weights, caps and connection counts live in a real
 :class:`~repro.cluster.lvs.LoadBalancer`; temperatures, utilizations,
 power states and daemon liveness are plain settable dicts; power
-switches act instantly and are logged.
+switches and DVFS operating points act instantly and are logged.
 """
 
 import numpy as np
@@ -37,6 +37,8 @@ class FakeView:
         self.crashed = set()
         self.on_requests = []
         self.off_requests = []
+        #: (machine, frequency ratio, power ratio) per set_dvfs call.
+        self.dvfs_calls = []
         split = two_region_split(self.machines)
         self._regions = [split.region_of(name) for name in self.machines]
 
@@ -107,3 +109,8 @@ class FakeView:
             m for i, m in enumerate(self.machines)
             if self.power_state(i) == POWER_ACTIVE
         ]
+
+    # -- DVFS --------------------------------------------------------------------
+
+    def set_dvfs(self, index, frequency, power):
+        self.dvfs_calls.append((self.machines[index], frequency, power))

@@ -8,9 +8,11 @@ from repro.control.policies import (
     EmergencyPolicy,
     FreonECPolicy,
     FreonPolicy,
+    LocalDvfsPolicy,
     TraditionalControlPolicy,
 )
 from repro.errors import ControlError, TopologyError
+from repro.freon.policy import FreonConfig
 from repro.topology import ScaleSimulation, grid_topology
 
 
@@ -70,10 +72,19 @@ class TestBuild:
             build("traditional", "scale"), TraditionalControlPolicy
         )
         assert isinstance(build("emergency", "scale"), EmergencyPolicy)
+        assert isinstance(
+            build("local-dvfs", "cluster", config=FreonConfig()),
+            LocalDvfsPolicy,
+        )
 
     def test_none_policy_has_no_factory(self):
         assert build("none", "scale") is None
         assert build("none", "cluster") is None
+
+    def test_only_none_lacks_a_factory(self):
+        assert [
+            name for name in names() if get(name).factory is None
+        ] == ["none"]
 
 
 class TestSimulationValidation:

@@ -13,8 +13,6 @@ import json
 
 import pytest
 
-from repro.core.compiled import have_numpy
-
 from .sweep import (
     GOLDEN_SWEEP_FILE,
     digest,
@@ -22,11 +20,6 @@ from .sweep import (
     golden_payload,
 )
 from .traces import GOLDEN_DIR
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the pinned grid uses the compiled engine"
-)
-
 
 @pytest.fixture(scope="module")
 def stored():

@@ -24,14 +24,9 @@ import random
 
 import pytest
 
-from repro.core.compiled import have_numpy
 from repro.parallel import RunSpec, execute_spec, sweep
 from repro.parallel.batch import run_batch
 from repro.topology import grid_topology
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the batched engine needs numpy"
-)
 
 #: Independent randomized grids; each is one parametrized test case.
 CASE_SEEDS = tuple(range(6))
@@ -107,7 +102,9 @@ def test_random_grid_batched_equals_sequential(case_seed):
     assert [r.run_id for r in batched] == [s.run_id for s in specs]
     for spec, got in zip(specs, batched):
         want = execute_spec(spec)
-        assert _dumps(got) == _dumps(want), (
+        # A plain boolean: pytest's diff of two long JSON strings is slow.
+        same = _dumps(got) == _dumps(want)
+        assert same, (
             f"case_seed={case_seed} run_id={spec.run_id!r}: batched "
             f"result diverged from the sequential path (spec: "
             f"{spec.to_dict()})"
@@ -121,7 +118,8 @@ def test_single_run_grid_batched_equals_sequential():
         scenario="emergency", duration=520.0,
     )
     (got,) = run_batch([spec])
-    assert _dumps(got) == _dumps(execute_spec(spec))
+    same = _dumps(got) == _dumps(execute_spec(spec))
+    assert same, "solo: batched result diverged from the sequential path"
 
 
 def test_sweep_strategies_merge_to_identical_artifacts():
@@ -129,8 +127,8 @@ def test_sweep_strategies_merge_to_identical_artifacts():
 
     ``strategy="batch"`` routes statically-evictable specs through the
     fork path and pools the rest; the merged artifact must still be
-    byte-identical to the all-fork artifact (and to whatever ``auto``
-    picks).
+    byte-identical to the all-fork artifact (and to ``auto``, which
+    means ``batch``).
     """
     rng = random.Random(0x5EEDED)
     specs = _random_specs(rng, "strategies")
@@ -141,6 +139,7 @@ def test_sweep_strategies_merge_to_identical_artifacts():
     reference = json.dumps(sweep(specs, strategy="fork"), sort_keys=True)
     for strategy in ("batch", "auto"):
         artifact = json.dumps(sweep(specs, strategy=strategy), sort_keys=True)
-        assert artifact == reference, (
+        same = artifact == reference
+        assert same, (
             f"sweep artifact via strategy={strategy!r} differs from fork"
         )

@@ -14,15 +14,10 @@ import json
 
 import pytest
 
-from repro.core.compiled import have_numpy
 from repro.parallel import RunSpec, execute_spec
 from repro.parallel.batch import BatchMember, BatchRunner
 from repro.parallel.engine import build_simulation, collect_result
 from repro.topology import grid_topology
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the batched engine needs numpy"
-)
 
 TOPOLOGY_JSON = grid_topology(6, zones=2, machines_per_rack=3).to_json()
 

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.cluster.simulation import ClusterSimulation, chaos_script
-from repro.core.compiled import have_numpy
 from repro.errors import ClusterError
 from repro.faults.injector import FaultInjector
 from repro.parallel import RunSpec, execute_spec
@@ -74,7 +73,6 @@ class TestCheckpointRestore:
         assert second.result().fault_log == golden.result().fault_log
         assert second.result().adjustments == golden.result().adjustments
 
-    @pytest.mark.skipif(not have_numpy(), reason="compiled engine needs numpy")
     def test_compiled_engine_round_trip(self):
         golden = _chaos_simulation(engine="compiled")
         _run(golden, self.END)
@@ -167,9 +165,46 @@ class TestCheckpointRestore:
         assert ours.restarts == theirs.restarts
         assert ours.datagram_stats == theirs.datagram_stats
         assert len(theirs.restarts) == 1 and len(theirs.ec_events) > 0
-        assert json.dumps(second.controller.checkpoint()) == json.dumps(
+        same = json.dumps(second.controller.checkpoint()) == json.dumps(
             golden.controller.checkpoint()
         )
+        assert same, "freon-ec: resumed controller state diverged"
+
+    def test_pause_while_throttled_resumes_bit_exact(self):
+        # local-dvfs under the chaos storm: at t=1252 machine 1 (since
+        # t=1015) and machine 3 (since t=1240) run one P-state down,
+        # and the pause falls between two 5 s DVFS wakes.  Both step
+        # back up after the resume.
+        def build():
+            return ClusterSimulation(
+                policy="local-dvfs", fiddle_script=chaos_script(),
+                injector=FaultInjector(seed=11),
+            )
+
+        golden = build()
+        _run(golden, 1600)
+
+        first = build()
+        _run(first, 1252)
+        state = json.loads(json.dumps(first.checkpoint()))
+        assert state["controller"]["pstate"] == [1, 0, 1, 0]
+        wakes = [e for e in state["kernel"]["events"] if e[3] == "wake"]
+        assert [w[0] for w in wakes] == [1255.0]
+
+        second = build()
+        second.apply_checkpoint(state)
+        _run(second, 1600 - 1252)
+
+        assert _temperatures(second) == _temperatures(golden)
+        assert _record_dicts(second) == _record_dicts(golden)
+        changes = golden.result().pstate_changes
+        assert second.result().pstate_changes == changes
+        assert [c.time for c in changes] == [1015.0, 1240.0, 1370.0, 1540.0]
+        assert second.controller.pstate == [0, 0, 0, 0]
+        same = json.dumps(second.controller.checkpoint()) == json.dumps(
+            golden.controller.checkpoint()
+        )
+        assert same, "local-dvfs: resumed controller state diverged"
 
     def test_version_mismatch_rejected(self):
         simulation = _chaos_simulation()
@@ -192,7 +227,6 @@ class TestCheckpointRestore:
         assert json.loads(text)["time"] == 50.0
 
 
-@pytest.mark.skipif(not have_numpy(), reason="the batched engine needs numpy")
 class TestBatchedCheckpointResume:
     """An in-flight batched sweep pauses and resumes bit-exactly.
 
@@ -232,10 +266,12 @@ class TestBatchedCheckpointResume:
         for spec in specs:
             solo = build_simulation(spec)
             _run(solo, self.SPLIT)
-            assert (
-                json.dumps(snapshots[spec.run_id], sort_keys=True)
-                == json.dumps(solo.checkpoint(), sort_keys=True)
-            ), f"{spec.run_id}: batched snapshot differs from sequential"
+            same = json.dumps(
+                snapshots[spec.run_id], sort_keys=True
+            ) == json.dumps(solo.checkpoint(), sort_keys=True)
+            assert same, (
+                f"{spec.run_id}: batched snapshot differs from sequential"
+            )
 
     def test_paused_batch_resumes_bit_exact_on_either_path(self):
         specs = self._specs()
@@ -254,10 +290,10 @@ class TestBatchedCheckpointResume:
         ):
             assert via_batch.resumed and via_seq.resumed
             # Both resume paths agree byte-for-byte, registry included.
-            assert (
-                json.dumps(via_batch.to_dict(), sort_keys=True)
-                == json.dumps(via_seq.to_dict(), sort_keys=True)
-            ), f"{spec.run_id}: resume paths diverged"
+            same = json.dumps(
+                via_batch.to_dict(), sort_keys=True
+            ) == json.dumps(via_seq.to_dict(), sort_keys=True)
+            assert same, f"{spec.run_id}: resume paths diverged"
             # And the physics matches a never-paused run exactly (the
             # registry legitimately differs: a resumed run's telemetry
             # covers only the tail).

@@ -2,9 +2,8 @@
 
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.config import table1
 from repro.config.layouts import validation_machine

@@ -2,9 +2,8 @@
 
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.errors import TopologyError
 from repro.topology import (

@@ -2,9 +2,8 @@
 
 import json
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.cluster.simulation import emergency_script
 from repro.errors import TopologyError
@@ -121,9 +120,10 @@ class TestCheckpoint:
         assert len(whole.controller.events) > 0
         assert resumed.controller.events == whole.controller.events
         assert resumed.controller.adjustments == whole.controller.adjustments
-        assert json.dumps(resumed.controller.checkpoint()) == json.dumps(
+        same = json.dumps(resumed.controller.checkpoint()) == json.dumps(
             whole.controller.checkpoint()
         )
+        assert same, "resumed controller state diverged"
 
     def test_version_gate(self):
         sim = ScaleSimulation(room(), duration=60.0)
